@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cube import Circle, Resolution, circle_classes, classify_edge, resolve
+from .cube import Circle, CubeEdge, Resolution, circle_classes, iter_edges, resolve
 from .diagram import Diagram, crossing_signs
 from .gf2 import GF2Matrix
 from .words import (
@@ -139,12 +139,29 @@ def split_case(c: ConjClass, c1: ConjClass, c2: ConjClass) -> str | None:
     return None
 
 
-def merge_image(table: str, x: int, y: int) -> frozenset[int]:
-    return MERGE_TABLES[table][(x, y)]
+def edge_table(edge: CubeEdge, src: tuple[ConjClass, ...],
+               tgt: tuple[ConjClass, ...]) -> str | None:
+    """Table label of a cube edge from the circle classes of its two states.
+
+    None stands for the zero map, which every neutral edge carries.  With
+    all classes trivial this is the classical "m" / "delta".
+    """
+    if edge.kind == "neutral":
+        return None
+    i, j, k = edge.indices
+    if edge.kind == "merge":
+        return merge_case(src[i], src[j], tgt[k])
+    return split_case(src[i], tgt[j], tgt[k])
 
 
-def split_image(table: str, x: int) -> frozenset[tuple[int, int]]:
-    return SPLIT_TABLES[table][x]
+def _label_images(edge: CubeEdge, table: str) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """(bits of the consumed source circles, those bits' labels -> target bit patterns)."""
+    i, j, k = edge.indices
+    if edge.kind == "merge":
+        return (1 << i) | (1 << j), {(x << i) | (y << j): tuple(o << k for o in outs)
+                                     for (x, y), outs in MERGE_TABLES[table].items()}
+    return 1 << i, {x << i: tuple((o1 << j) | (o2 << k) for o1, o2 in outs)
+                    for x, outs in SPLIT_TABLES[table].items()}
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +386,6 @@ class SliceComplex:
     dims: dict[int, int]
     mats: dict[int, GF2Matrix]  # degree i -> matrix from slot i to slot i+1
 
-    def matrix(self, i: int) -> GF2Matrix:
-        got = self.mats.get(i)
-        if got is not None:
-            return got
-        return GF2Matrix(self.dims.get(i, 0), self.dims.get(i + 1, 0),
-                         [0] * self.dims.get(i, 0))
-
 
 @dataclass
 class ChainComplex:
@@ -392,17 +402,18 @@ class ChainComplex:
 
 def _transform_resolution(res: Resolution, reverse_circles: bool,
                           invert_circle_words: bool) -> Resolution:
-    circles = res.circles
+    circles, owner = res.circles, res.owner
     if invert_circle_words:
         circles = tuple(Circle(c.darts, invert_word(c.word), c.loop) for c in circles)
     if reverse_circles:
         circles = tuple(reversed(circles))
+        owner = tuple(len(circles) - 1 - i for i in owner)
     if circles is res.circles:
         return res
-    return Resolution(res.state, circles)
+    return Resolution(res.state, circles, owner)
 
 
-def _grading_key(cls_ids: tuple[int, ...], nontrivial: tuple[tuple[int, int], ...],
+def _grading_key(nontrivial: tuple[tuple[int, int], ...],
                  mask: int) -> tuple[tuple[int, int], ...]:
     # nontrivial: (class id, bit mask of the circles in that class), precomputed
     out = []
@@ -433,33 +444,27 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True,
         for s in range(1 << n)
     ]
 
-    # intern per-circle conjugacy classes; id 0 is reserved for the trivial class
-    surface = d.surface
-    class_pool: list[ConjClass] = [surface.canonical_class(())]
-    class_ids: dict[ConjClass, int] = {class_pool[0]: 0}
-    state_classes: list[tuple[int, ...]] = []
+    # per-circle conjugacy classes (all trivial in the classical flavor);
+    # the nontrivial ones are interned
+    trivial = d.surface.canonical_class(())
+    class_pool: list[ConjClass] = []
+    class_ids: dict[ConjClass, int] = {}
+    state_classes: list[tuple[ConjClass, ...]] = []
     state_groups: list[tuple[tuple[int, int], ...]] = []
-    if homotopical:
-        for res in resolutions:
-            ids = []
-            for cls in circle_classes(d, res):
-                got = class_ids.get(cls)
-                if got is None:
-                    got = len(class_pool)
-                    class_ids[cls] = got
-                    class_pool.append(cls)
-                ids.append(got)
-            state_classes.append(tuple(ids))
-            groups: dict[int, int] = {}
-            for t, cid in enumerate(ids):
-                if cid:
-                    groups[cid] = groups.get(cid, 0) | (1 << t)
-            state_groups.append(tuple(sorted(groups.items())))
-    else:
-        empty: tuple[tuple[int, int], ...] = ()
-        for res in resolutions:
-            state_classes.append((0,) * res.n_circles)
-            state_groups.append(empty)
+    for res in resolutions:
+        classes = circle_classes(d, res) if homotopical else (trivial,) * res.n_circles
+        state_classes.append(classes)
+        groups: dict[int, int] = {}
+        for t, cls in enumerate(classes):
+            if cls.is_trivial:
+                continue
+            cid = class_ids.get(cls)
+            if cid is None:
+                cid = len(class_pool)
+                class_ids[cls] = cid
+                class_pool.append(cls)
+            groups[cid] = groups.get(cid, 0) | (1 << t)
+        state_groups.append(tuple(sorted(groups.items())))
 
     # enumerate generators: assign each (state, mask) a slice and a column
     slice_ids: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
@@ -473,7 +478,7 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True,
         groups = state_groups[s]
         for mask in range(1 << gamma):
             j = 2 * mask.bit_count() - gamma + beta
-            key = (j, _grading_key(state_classes[s], groups, mask))
+            key = (j, _grading_key(groups, mask))
             sid = slice_ids.get(key)
             if sid is None:
                 sid = len(slice_keys)
@@ -486,82 +491,40 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True,
 
     # boundary matrices, one per (slice, degree) that has a source generator
     mats: dict[tuple[int, int], list[int]] = {}
-    for s in range(1 << n):
-        src = resolutions[s]
-        gamma = src.n_circles
+    for edge in iter_edges(d, resolutions):
+        s, t = edge.source, edge.target
+        table = edge_table(edge, state_classes[s], state_classes[t])
+        if table is None:
+            continue
+        consumed, images = _label_images(edge, table)
+        gamma = resolutions[s].n_circles
         beta = s.bit_count()
-        classes = state_classes[s]
-        for c in range(n):
-            if (s >> c) & 1:
-                continue
-            tgt_state = s | (1 << c)
-            tgt = resolutions[tgt_state]
-            edge = classify_edge(d, src, tgt)
-            if edge.kind == "neutral":
-                continue
-            if homotopical:
-                tclasses = state_classes[tgt_state]
-                if edge.kind == "merge":
-                    i, jj, k = edge.indices
-                    table = merge_case(class_pool[classes[i]], class_pool[classes[jj]],
-                                       class_pool[tclasses[k]])
-                else:
-                    i, jj, k = edge.indices
-                    table = split_case(class_pool[classes[i]], class_pool[tclasses[jj]],
-                                       class_pool[tclasses[k]])
-                if table is None:
-                    continue
-            else:
-                table = "m" if edge.kind == "merge" else "delta"
 
-            # scatter: source circle position -> target bit, for unchanged circles
-            contrib = [0] * gamma
-            for sp, tp in edge.unchanged:
-                contrib[sp] = 1 << tp
-            scat = [0] * (1 << gamma)
-            for mask in range(1, 1 << gamma):
-                low = mask & -mask
-                scat[mask] = scat[mask ^ low] | contrib[low.bit_length() - 1]
+        # scatter: source label mask -> target bits of the unchanged circles
+        # (the consumed circles add none)
+        contrib = [0] * gamma
+        for sp, tp in edge.unchanged:
+            contrib[sp] = 1 << tp
+        scat = [0] * (1 << gamma)
+        for mask in range(1, 1 << gamma):
+            low = mask & -mask
+            scat[mask] = scat[mask ^ low] | contrib[low.bit_length() - 1]
 
-            if edge.kind == "merge":
-                i, jj, k = edge.indices
-                tab = MERGE_TABLES[table]
-                hole = ~((1 << i) | (1 << jj))
-                for mask in range(1 << gamma):
-                    outs = tab[((mask >> i) & 1, (mask >> jj) & 1)]
-                    if not outs:
-                        continue
-                    sid, col = gen_pos[(s << mask_bits) | mask]
-                    row = mats.get((sid, beta))
-                    if row is None:
-                        row = [0] * dims[sid][beta]
-                        mats[(sid, beta)] = row
-                    base = scat[mask & hole]
-                    for out in outs:
-                        tsid, tcol = gen_pos[(tgt_state << mask_bits) | base | (out << k)]
-                        if tsid != sid:
-                            raise RuntimeError("differential left its grading slice")
-                        row[col] |= 1 << tcol
-            else:
-                i, jj, k = edge.indices
-                tab = SPLIT_TABLES[table]
-                hole = ~(1 << i)
-                for mask in range(1 << gamma):
-                    outs = tab[(mask >> i) & 1]
-                    if not outs:
-                        continue
-                    sid, col = gen_pos[(s << mask_bits) | mask]
-                    row = mats.get((sid, beta))
-                    if row is None:
-                        row = [0] * dims[sid][beta]
-                        mats[(sid, beta)] = row
-                    base = scat[mask & hole]
-                    for o1, o2 in outs:
-                        tsid, tcol = gen_pos[(tgt_state << mask_bits)
-                                             | base | (o1 << jj) | (o2 << k)]
-                        if tsid != sid:
-                            raise RuntimeError("differential left its grading slice")
-                        row[col] |= 1 << tcol
+        for mask in range(1 << gamma):
+            outs = images[mask & consumed]
+            if not outs:
+                continue
+            sid, col = gen_pos[(s << mask_bits) | mask]
+            row = mats.get((sid, beta))
+            if row is None:
+                row = [0] * dims[sid][beta]
+                mats[(sid, beta)] = row
+            base = (t << mask_bits) | scat[mask]
+            for out in outs:
+                tsid, tcol = gen_pos[base | out]
+                if tsid != sid:
+                    raise RuntimeError("differential left its grading slice")
+                row[col] |= 1 << tcol
 
     # package, applying the orientation shifts to the output gradings
     di = -n_minus if shift else 0

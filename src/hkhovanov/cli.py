@@ -17,10 +17,9 @@ import json
 import pathlib
 import sys
 
-from .chain import build_complex, differential_squares_to_zero, merge_case, \
-    split_case, verify_table1
-from .cube import cube_edges, resolve
-from .diagram import Diagram, diagram_from_json, validate, validate_json
+from .chain import build_complex, differential_squares_to_zero, edge_table, verify_table1
+from .cube import circle_classes, iter_edges, resolve
+from .diagram import Diagram, diagram_from_json, validate
 from .homology import compare, kh_classical, kh_h, poincare_report
 from .moves import MoveSpec, apply_move, r1_add_sites, r1_remove_sites, \
     r2_add_sites, r2_remove_sites
@@ -38,10 +37,10 @@ def _load(path: str) -> tuple[Diagram, str]:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    problems = validate_json(obj)
-    if problems:
-        raise ValueError(f"{path}: " + "; ".join(problems))
-    d = diagram_from_json(obj)
+    try:
+        d = diagram_from_json(obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     problems = validate(d)
     if problems:
         raise ValueError(f"{path}: " + "; ".join(problems))
@@ -180,42 +179,30 @@ def cmd_verify_table1(args) -> int:
 def cmd_dump_cube(args) -> int:
     d, digest = _load(args.input)
     n = d.n_crossings
-    srf = d.surface
 
     def bits(state: int) -> str:
         return "".join(str((state >> c) & 1) for c in range(n)) or "-"
 
-    def cls_str(word) -> str:
-        c = srf.canonical_class(word)
-        return word_to_str(c.letters, d.genus) or "1"
+    def name(word) -> str:
+        return word_to_str(word, d.genus) or "1"
 
     print(f"# diagram {digest}")
     print(f"# genus {d.genus}, {n} crossings, {len(d.free_loops)} free loops,"
           f" {1 << n} states (crossing 0 is the leftmost bit)")
     resolutions = [resolve(d, s) for s in range(1 << n)]
-    for res in resolutions:
-        descr = " ".join(
-            f"[{word_to_str(c.word, d.genus) or '1'}~{cls_str(c.word)}]"
-            for c in res.circles)
+    classes = [circle_classes(d, res) for res in resolutions]
+    for res, cls in zip(resolutions, classes):
+        descr = " ".join(f"[{name(c.word)}~{name(k.letters)}]"
+                         for c, k in zip(res.circles, cls))
         print(f"state {bits(res.state)}: {len(res.circles)} circles: {descr}")
-    for edge in cube_edges(d):
-        src = resolutions[edge.source]
-        tgt = resolutions[edge.target]
-        if edge.kind == "merge":
-            i, j, k = edge.indices
-            case = merge_case(srf.canonical_class(src.circles[i].word),
-                              srf.canonical_class(src.circles[j].word),
-                              srf.canonical_class(tgt.circles[k].word))
-            what = f"merge {i},{j} -> {k}, case {case or 'zero'}"
-        elif edge.kind == "split":
-            i, j, k = edge.indices
-            case = split_case(srf.canonical_class(src.circles[i].word),
-                              srf.canonical_class(tgt.circles[j].word),
-                              srf.canonical_class(tgt.circles[k].word))
-            what = f"split {i} -> {j},{k}, case {case or 'zero'}"
-        else:
-            i, _, k = edge.indices
+    for edge in iter_edges(d, resolutions):
+        i, j, k = edge.indices
+        if edge.kind == "neutral":
             what = f"neutral {i} -> {k}, differential zero"
+        else:
+            case = edge_table(edge, classes[edge.source], classes[edge.target]) or "zero"
+            moved = f"{i},{j} -> {k}" if edge.kind == "merge" else f"{i} -> {j},{k}"
+            what = f"{edge.kind} {moved}, case {case}"
         print(f"edge {bits(edge.source)} -> {bits(edge.target)}"
               f" (crossing {edge.crossing}): {what}")
     return 0

@@ -6,20 +6,27 @@ and (1,2).  Circles are traced through darts (edge, direction); each circle
 is read from its least edge, traversed tail-to-head, concatenating edge
 words (inverted against the traversal).  Circles are listed sorted by least
 visited edge, with crossing-free loops appended after them in input order.
+A resolution also keeps an owner index: for each edge the position of the
+circle through it, then one slot per free loop.
 
-A cube edge flips one crossing from 0 to 1 and is a merge (two circles
-become one), a split, or neutral (one circle re-glues to one circle);
-neutral edges only occur when the diagram has no source-sink structure.
+A cube edge flips one crossing from 0 to 1.  Only the circles through that
+crossing change, so the owner index at its four slots tells the edge apart:
+a merge (two circles become one), a split, or neutral (one circle re-glues
+to one circle); neutral edges only occur when the diagram has no
+source-sink structure.  Every other circle keeps its darts and is matched
+to the target circle that owns its least edge, or its loop slot.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .diagram import Diagram, HEAD, TAIL
 from .words import ConjClass, Word, free_reduce, invert_word
 
-__all__ = ["Circle", "Resolution", "CubeEdge", "resolve", "classify_edge", "cube_edges"]
+__all__ = ["Circle", "Resolution", "CubeEdge", "resolve", "classify_edge", "iter_edges",
+           "cube_edges"]
 
 _PAIRS0 = (1, 0, 3, 2)  # partner slot under the 0-smoothing
 _PAIRS1 = (3, 2, 1, 0)  # partner slot under the 1-smoothing
@@ -45,6 +52,8 @@ class Circle:
 class Resolution:
     state: int
     circles: tuple[Circle, ...]
+    # circle position per edge id, then per free loop (slot n_edges + loop)
+    owner: tuple[int, ...]
 
     @property
     def n_circles(self) -> int:
@@ -56,18 +65,19 @@ def resolve(d: Diagram, state: int) -> Resolution:
     n_edges = len(d.edge_words)
     partners = [_PAIRS1 if (state >> c) & 1 else _PAIRS0 for c in range(d.n_crossings)]
     ends = d.edge_ends
-    used = [False] * n_edges
+    owner: list[int | None] = [None] * n_edges
     circles: list[Circle] = []
     for e0 in range(n_edges):
-        if used[e0]:
+        if owner[e0] is not None:
             continue
+        pos = len(circles)
         darts: list[tuple[int, int]] = []
         word: list[int] = []
         e, direction = e0, 1
         while True:
-            if used[e]:
+            if owner[e] is not None:
                 raise RuntimeError("corrupted diagram: edge traversed twice")
-            used[e] = True
+            owner[e] = pos
             darts.append((e, direction))
             w = d.edge_words[e]
             word.extend(w if direction > 0 else invert_word(w))
@@ -81,8 +91,9 @@ def resolve(d: Diagram, state: int) -> Resolution:
                 break
         circles.append(Circle(tuple(darts), tuple(word)))
     for k, w in enumerate(d.free_loops):
+        owner.append(len(circles))
         circles.append(Circle((), tuple(w), loop=k))
-    return Resolution(state, tuple(circles))
+    return Resolution(state, tuple(circles), tuple(owner))
 
 
 @dataclass(frozen=True)
@@ -104,68 +115,45 @@ class CubeEdge:
         return self.source | (1 << self.crossing)
 
 
-def _match(src: Resolution, tgt: Resolution):
-    """Pair unchanged circles by support (loops by position).
-
-    Returns (mapping src index -> tgt index for unchanged circles,
-    unmatched src indices, unmatched tgt indices).
-    """
-    by_support: dict = {}
-    for j, circ in enumerate(tgt.circles):
-        key = ("loop", circ.loop) if circ.loop is not None else circ.support
-        by_support[key] = j
-    mapping: dict[int, int] = {}
-    left_src: list[int] = []
-    for i, circ in enumerate(src.circles):
-        key = ("loop", circ.loop) if circ.loop is not None else circ.support
-        j = by_support.pop(key, None)
-        if j is None:
-            left_src.append(i)
-        else:
-            mapping[i] = j
-    left_tgt = sorted(by_support.values())
-    return mapping, left_src, left_tgt
-
-
 def classify_edge(d: Diagram, src: Resolution, tgt: Resolution) -> CubeEdge:
+    """Classify the cube edge between two states one crossing apart."""
     crossing = (src.state ^ tgt.state).bit_length() - 1
-    mapping, left_src, left_tgt = _match(src, tgt)
-    pairs = tuple(sorted(mapping.items()))
-    if len(left_src) == 2 and len(left_tgt) == 1:
-        i, j = left_src
-        return CubeEdge(src.state, crossing, "merge", (i, j, left_tgt[0]), pairs)
-    if len(left_src) == 1 and len(left_tgt) == 2:
-        return CubeEdge(src.state, crossing, "split",
-                        (left_src[0],) + tuple(left_tgt), pairs)
-    if not left_src and not left_tgt and src.n_circles == tgt.n_circles:
-        # same supports on both sides: the crossing re-glued one circle to one
-        seen = {e for e, _ in _crossing_edges(d, crossing)}
-        i = next(
-            k
-            for k, circ in enumerate(src.circles)
-            if circ.loop is None and circ.support & seen
+    at_crossing = [e for e, _ in d.crossings[crossing]]
+    ins = sorted({src.owner[e] for e in at_crossing})
+    outs = sorted({tgt.owner[e] for e in at_crossing})
+    if len(ins) == len(outs) == 2:
+        raise RuntimeError(
+            f"corrupted diagram: state {src.state:b} -> {tgt.state:b} changes "
+            "2 circles into 2"
         )
-        return CubeEdge(src.state, crossing, "neutral", (i, None, mapping[i]), pairs)
-    raise RuntimeError(
-        f"corrupted diagram: state {src.state:b} -> {tgt.state:b} changes "
-        f"{len(left_src)} circles into {len(left_tgt)}"
+    if len(ins) == len(outs):
+        kind, indices, changed = "neutral", (ins[0], None, outs[0]), ()
+    else:
+        kind = "merge" if len(ins) == 2 else "split"
+        indices, changed = (*ins, *outs), ins
+    # a re-glued (neutral) circle keeps its support, so it is matched too
+    n_edges = len(d.edge_words)
+    pairs = tuple(
+        (i, tgt.owner[circ.darts[0][0] if circ.darts else n_edges + circ.loop])
+        for i, circ in enumerate(src.circles) if i not in changed
     )
+    return CubeEdge(src.state, crossing, kind, indices, pairs)
 
 
-def _crossing_edges(d: Diagram, c: int):
-    return d.crossings[c]
+def iter_edges(d: Diagram, resolutions: list[Resolution]) -> Iterator[CubeEdge]:
+    """Classify the cube edges one at a time, by source state then crossing.
+
+    ``resolutions`` holds the resolution of every state, indexed by state.
+    """
+    for s, src in enumerate(resolutions):
+        for c in range(d.n_crossings):
+            if not (s >> c) & 1:
+                yield classify_edge(d, src, resolutions[s | (1 << c)])
 
 
 def cube_edges(d: Diagram) -> list[CubeEdge]:
     """All n * 2^(n-1) cube edges, classified."""
-    n = d.n_crossings
-    cache = {s: resolve(d, s) for s in range(1 << n)}
-    out = []
-    for s in range(1 << n):
-        for c in range(n):
-            if not (s >> c) & 1:
-                out.append(classify_edge(d, cache[s], cache[s | (1 << c)]))
-    return out
+    return list(iter_edges(d, [resolve(d, s) for s in range(1 << d.n_crossings)]))
 
 
 def circle_classes(d: Diagram, res: Resolution) -> tuple[ConjClass, ...]:

@@ -79,24 +79,39 @@ class Diagram:
 
 def validate_json(obj) -> list[str]:
     """Structural violations of a raw diagram object; empty iff loadable."""
+    return _read_json(obj)[0]
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _read_json(obj) -> tuple[list[str], Diagram | None]:
+    """Violations of a raw diagram object, and the Diagram when there are none."""
     out: list[str] = []
     if not isinstance(obj, dict):
-        return ["diagram must be a JSON object"]
+        return ["diagram must be a JSON object"], None
     genus = obj.get("genus")
-    if not isinstance(genus, int) or genus < 0:
+    if not _is_int(genus) or genus < 0:
         out.append("genus must be a nonnegative integer")
         genus = 0
-    edges = obj.get("edges", [])
-    crossings = obj.get("crossings", [])
-    loops = obj.get("free_loops", [])
+    lists = []
+    for key in ("edges", "crossings", "free_loops"):
+        got = obj.get(key, [])
+        if not isinstance(got, list):
+            out.append(f"{key} must be a list")
+            got = []
+        lists.append(got)
+    edges, crossings, raw_loops = lists
+    words: dict[int, Word] = {}
     ids: list[int] = []
     for k, e in enumerate(edges):
-        if not isinstance(e, dict) or not isinstance(e.get("id"), int):
+        if not isinstance(e, dict) or not _is_int(e.get("id")):
             out.append(f"edge #{k}: missing integer id")
             continue
         ids.append(e["id"])
         try:
-            parse_word(str(e.get("word", "")), genus)
+            words[e["id"]] = parse_word(str(e.get("word", "")), genus)
         except ValueError as exc:
             out.append(f"edge id {e['id']}: {exc}")
     if len(set(ids)) != len(ids):
@@ -107,32 +122,42 @@ def validate_json(obj) -> list[str]:
         if not isinstance(c, dict) or not isinstance(c.get("slots"), list):
             out.append(f"crossing #{k}: missing slots")
             continue
+        if not _is_int(c.get("id", 0)):
+            out.append(f"crossing #{k}: id must be an integer")
         slots = c["slots"]
         if len(slots) != 4:
             out.append(f"crossing #{k}: needs exactly 4 slots")
             continue
         for e in slots:
-            if e not in known:
+            if not _is_int(e):
+                out.append(f"crossing #{k}: slots must hold integer edge ids, not {e!r}")
+            elif e not in known:
                 out.append(f"crossing #{k}: slot references unknown edge {e}")
             else:
                 uses[e] += 1
     for i in sorted(known):
         if uses[i] != 2:
             out.append(f"edge id {i}: used {uses[i]} times, expected 2")
-    for k, w in enumerate(loops):
+    loops: list[Word] = []
+    for k, w in enumerate(raw_loops):
         try:
-            parse_word(str(w), genus)
+            loops.append(parse_word(str(w), genus))
         except ValueError as exc:
             out.append(f"free loop #{k}: {exc}")
     if out:
-        return out
+        return out, None
     # orientation consistency needs the structural part to be sound
     idx = {eid: n for n, eid in enumerate(sorted(known))}
-    slot_tables = [tuple(idx[e] for e in c["slots"]) for c in crossings]
-    ends = _infer_ends(len(known), slot_tables)
-    if isinstance(ends, str):
-        out.append(ends)
-    return out
+    slot_tables = [tuple(idx[e] for e in c["slots"])
+                   for c in sorted(crossings, key=lambda c: c.get("id", 0))]
+    val = _infer_ends(len(known), slot_tables)
+    if isinstance(val, str):
+        return [val], None
+    ends = tuple(
+        tuple((e, val[(c, s)]) for s, e in enumerate(slots))
+        for c, slots in enumerate(slot_tables)
+    )
+    return [], Diagram(genus, tuple(words[i] for i in sorted(known)), ends, tuple(loops))
 
 
 def _infer_ends(n_edges: int, slot_tables: list[tuple[int, int, int, int]]):
@@ -202,25 +227,10 @@ def _infer_ends(n_edges: int, slot_tables: list[tuple[int, int, int, int]]):
 
 def diagram_from_json(obj) -> Diagram:
     """Build a Diagram from a raw dict, raising on any violation."""
-    problems = validate_json(obj)
+    problems, d = _read_json(obj)
     if problems:
         raise ValueError("invalid diagram: " + "; ".join(problems))
-    genus = obj["genus"]
-    edges = sorted(obj.get("edges", []), key=lambda e: e["id"])
-    idx = {e["id"]: n for n, e in enumerate(edges)}
-    words = tuple(parse_word(str(e.get("word", "")), genus) for e in edges)
-    slot_tables = [
-        tuple(idx[e] for e in c["slots"])
-        for c in sorted(obj.get("crossings", []), key=lambda c: c.get("id", 0))
-    ]
-    val = _infer_ends(len(edges), slot_tables)
-    assert not isinstance(val, str)
-    crossings = tuple(
-        tuple((e, val[(c, s)]) for s, e in enumerate(slots))
-        for c, slots in enumerate(slot_tables)
-    )
-    loops = tuple(parse_word(str(w), genus) for w in obj.get("free_loops", []))
-    return Diagram(genus, words, crossings, loops)
+    return d
 
 
 def diagram_to_json(d: Diagram) -> dict:

@@ -26,8 +26,6 @@ __all__ = [
     "free_reduce",
     "cyclic_reduce",
     "dehn_reduce",
-    "is_trivial",
-    "canonical_class",
     "ConjClass",
     "Surface",
     "GradingElem",
@@ -363,14 +361,6 @@ class Surface:
             cls = TRIVIAL_CLASS if not reduced else ConjClass(reduced)
         self._classes[w] = cls
         return cls
-
-
-def is_trivial(w: Word, surface: Surface) -> bool:
-    return surface.is_trivial(w)
-
-
-def canonical_class(w: Word, surface: Surface) -> ConjClass:
-    return surface.canonical_class(w)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Command line behaviour: exact output, exit codes, move-list parsing."""
 
+import collections
 import hashlib
 import json
 import pathlib
+import random
 
 import pytest
 
+from hkhovanov import cli, cube, diagram
 from hkhovanov.cli import main, parse_moves, spec_to_str
+from hkhovanov.diagram import diagram_to_json
 from hkhovanov.moves import MoveSpec
+from hkhovanov.randgen import random_diagram
 
 from helpers import corpus_path
 
@@ -119,6 +124,98 @@ def test_dump_cube_classifies_every_edge(capsys):
     assert "merge" in out and "split" in out and "neutral" not in out
 
 
+DUMP_CUBE_GOLDEN = {
+    "neutral1": """\
+# diagram 2366c767797c3347755482d80cc3c833cf576a2f854cd3a6c1f94afe6725073c
+# genus 1, 1 crossings, 0 free loops, 2 states (crossing 0 is the leftmost bit)
+state 0: 1 circles: [a B~a B]
+state 1: 1 circles: [a b~a b]
+edge 0 -> 1 (crossing 0): neutral 0 -> 0, differential zero
+""",
+    "trefoil_g1": """\
+# diagram e84df7f892af74ee1e60e4b93dd7aecf60588c185db6d7e0cfee514d774a2e23
+# genus 1, 3 crossings, 0 free loops, 8 states (crossing 0 is the leftmost bit)
+state 000: 2 circles: [a~a] [1~1]
+state 100: 1 circles: [a~a]
+state 010: 1 circles: [a~a]
+state 110: 2 circles: [1~1] [a~a]
+state 001: 1 circles: [a~a]
+state 101: 2 circles: [1~1] [a~a]
+state 011: 2 circles: [a~a] [1~1]
+state 111: 3 circles: [1~1] [1~1] [a~a]
+edge 000 -> 100 (crossing 0): merge 0,1 -> 0, case m1
+edge 000 -> 010 (crossing 1): merge 0,1 -> 0, case m1
+edge 000 -> 001 (crossing 2): merge 0,1 -> 0, case m1
+edge 100 -> 110 (crossing 1): split 0 -> 0,1, case delta2
+edge 100 -> 101 (crossing 2): split 0 -> 0,1, case delta2
+edge 010 -> 110 (crossing 0): split 0 -> 0,1, case delta2
+edge 010 -> 011 (crossing 2): split 0 -> 0,1, case delta1
+edge 110 -> 111 (crossing 2): split 1 -> 1,2, case delta2
+edge 001 -> 101 (crossing 0): split 0 -> 0,1, case delta2
+edge 001 -> 011 (crossing 1): split 0 -> 0,1, case delta1
+edge 101 -> 111 (crossing 1): split 0 -> 0,1, case delta
+edge 011 -> 111 (crossing 0): split 0 -> 0,2, case delta2
+""",
+    # random_diagram(Random(16), 3, genus 2, one free loop): all three edge
+    # kinds, a free loop after the traced circles, a split into 0,2
+    "random16_g2_loop": """\
+# diagram d3dd9c991820e628e482ca76c7e1ad0676600341e9fa68300ffe1609d330f33b
+# genus 2, 3 crossings, 1 free loops, 8 states (crossing 0 is the leftmost bit)
+state 000: 3 circles: [a2 B1 a2 A2~b1 A2] [1~1] [a2 B1~b1 A2]
+state 100: 2 circles: [a2 B1 a2 A2~b1 A2] [a2 B1~b1 A2]
+state 010: 3 circles: [a2 B1 a2 A2~b1 A2] [1~1] [a2 B1~b1 A2]
+state 110: 2 circles: [a2 B1 a2 A2~b1 A2] [a2 B1~b1 A2]
+state 001: 3 circles: [a2 A2 b1 A2~b1 A2] [1~1] [a2 B1~b1 A2]
+state 101: 2 circles: [a2 A2 b1 A2~b1 A2] [a2 B1~b1 A2]
+state 011: 4 circles: [a2 A2~1] [1~1] [B1 a2~b1 A2] [a2 B1~b1 A2]
+state 111: 3 circles: [a2 A2~1] [B1 a2~b1 A2] [a2 B1~b1 A2]
+edge 000 -> 100 (crossing 0): merge 0,1 -> 0, case m1
+edge 000 -> 010 (crossing 1): neutral 0 -> 0, differential zero
+edge 000 -> 001 (crossing 2): neutral 0 -> 0, differential zero
+edge 100 -> 110 (crossing 1): neutral 0 -> 0, differential zero
+edge 100 -> 101 (crossing 2): neutral 0 -> 0, differential zero
+edge 010 -> 110 (crossing 0): merge 0,1 -> 0, case m1
+edge 010 -> 011 (crossing 2): split 0 -> 0,2, case delta2
+edge 110 -> 111 (crossing 2): split 0 -> 0,1, case delta2
+edge 001 -> 101 (crossing 0): merge 0,1 -> 0, case m1
+edge 001 -> 011 (crossing 1): split 0 -> 0,2, case delta2
+edge 101 -> 111 (crossing 1): split 0 -> 0,1, case delta2
+edge 011 -> 111 (crossing 0): merge 0,1 -> 0, case m
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUMP_CUBE_GOLDEN))
+def test_dump_cube_exact_bytes(name, tmp_path, capsys):
+    if name.startswith("random"):
+        d = random_diagram(random.Random(16), 3, 2, n_loops=1)
+        path = tmp_path / "random.json"
+        path.write_text(json.dumps(diagram_to_json(d)))
+    else:
+        path = corpus_path(name)
+    code, out, err = run(capsys, "dump-cube", path)
+    assert code == 0 and err == ""
+    assert out == DUMP_CUBE_GOLDEN[name]
+
+
+def test_dump_cube_infers_ends_once_and_traces_each_state_once(monkeypatch, capsys):
+    counts = collections.Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((cli, "resolve"), (cube, "resolve"), (diagram, "_infer_ends")):
+        count(module, name)
+    code, _, _ = run(capsys, "dump-cube", corpus_path("trefoil_g1"))
+    assert code == 0
+    assert counts == {"_infer_ends": 1, "resolve": 8}
+
+
 def test_missing_file_is_a_diagnostic(capsys):
     code, out, err = run(capsys, "compute", "/nonexistent/diagram.json")
     assert code == 2 and out == ""
@@ -145,6 +242,18 @@ def test_schema_violations_are_diagnosed(tmp_path, capsys):
     }))
     code, _, err = run(capsys, "compute", bad)
     assert code == 2 and "unknown edge 7" in err
+    # wrongly typed fields: each used to escape as a traceback or be misread
+    empty = {"genus": 0, "edges": [], "crossings": []}
+    for patch, why in [
+        ({"edges": [{"id": 0, "word": ""}], "crossings": [{"slots": [[0], 0, 0, 0]}]},
+         "integer edge ids"),
+        ({"free_loops": 5}, "free_loops must be a list"),
+        ({"genus": 1, "free_loops": "ab"}, "free_loops must be a list"),
+        ({"genus": True}, "genus must be a nonnegative integer"),
+    ]:
+        bad.write_text(json.dumps({**empty, **patch}))
+        code, out, err = run(capsys, "compute", bad)
+        assert code == 2 and out == "" and why in err, patch
 
 
 def test_parse_moves_grammar():

@@ -6,7 +6,7 @@ from hkhovanov.cube import circle_classes, cube_edges, resolve
 from hkhovanov.chain import merge_case, split_case
 from hkhovanov.randgen import random_diagram
 
-from helpers import SMALL_GENUS0, corpus
+from helpers import CORPUS_NAMES, SMALL_GENUS0, corpus
 from oracles import state_circles
 
 
@@ -64,10 +64,14 @@ def test_supports_partition_the_edge_set():
 
 
 def test_cube_edge_bookkeeping():
-    for d in small_random_diagrams(count=20):
+    # the corpus adds crossing-free, neutral and multi-circle inputs; the
+    # supports are the independent oracle for the owner-index classifier
+    inputs = small_random_diagrams(count=20) + [
+        corpus(name) for name in CORPUS_NAMES if name != "perf12_genus1"]
+    for d in inputs:
         n = d.n_crossings
         edges = cube_edges(d)
-        assert len(edges) == n * (1 << (n - 1))
+        assert len(edges) == (n << n) >> 1
         for e in edges:
             src = resolve(d, e.source)
             tgt = resolve(d, e.target)
