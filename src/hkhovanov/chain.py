@@ -444,26 +444,22 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True,
         for s in range(1 << n)
     ]
 
-    # per-circle conjugacy classes (all trivial in the classical flavor);
-    # the nontrivial ones are interned
+    # per-circle conjugacy classes (all trivial in the classical flavor); the
+    # nontrivial ones get ids in class order, so slice keys come out sorted
     trivial = d.surface.canonical_class(())
-    class_pool: list[ConjClass] = []
-    class_ids: dict[ConjClass, int] = {}
-    state_classes: list[tuple[ConjClass, ...]] = []
+    state_classes: list[tuple[ConjClass, ...]] = [
+        circle_classes(d, res) if homotopical else (trivial,) * res.n_circles
+        for res in resolutions]
+    class_pool = sorted({cls for classes in state_classes for cls in classes
+                         if not cls.is_trivial})
+    class_ids = {cls: cid for cid, cls in enumerate(class_pool)}
     state_groups: list[tuple[tuple[int, int], ...]] = []
-    for res in resolutions:
-        classes = circle_classes(d, res) if homotopical else (trivial,) * res.n_circles
-        state_classes.append(classes)
+    for classes in state_classes:
         groups: dict[int, int] = {}
         for t, cls in enumerate(classes):
-            if cls.is_trivial:
-                continue
-            cid = class_ids.get(cls)
-            if cid is None:
-                cid = len(class_pool)
-                class_ids[cls] = cid
-                class_pool.append(cls)
-            groups[cid] = groups.get(cid, 0) | (1 << t)
+            if not cls.is_trivial:
+                cid = class_ids[cls]
+                groups[cid] = groups.get(cid, 0) | (1 << t)
         state_groups.append(tuple(sorted(groups.items())))
 
     # enumerate generators: assign each (state, mask) a slice and a column
@@ -531,9 +527,7 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True,
     dj = n_plus - 2 * n_minus if shift else 0
     slices: dict[tuple[int, GradingElem], SliceComplex] = {}
     for sid, (j, hkey) in enumerate(slice_keys):
-        h = ZERO_GRADING
-        for cid, coeff in hkey:
-            h = grading_add(h, grading_term(class_pool[cid], coeff))
+        h = GradingElem(tuple((class_pool[cid], coeff) for cid, coeff in hkey))
         sdims = {beta + di: cnt for beta, cnt in dims[sid].items()}
         smats = {}
         for beta, cnt in dims[sid].items():

@@ -118,12 +118,15 @@ def _read_json(obj) -> tuple[list[str], Diagram | None]:
         out.append("duplicate edge ids")
     known = set(ids)
     uses: dict[int, int] = {i: 0 for i in known}
+    crossing_ids: list[int] = []  # a missing id reads as 0, as the ordering below does
     for k, c in enumerate(crossings):
         if not isinstance(c, dict) or not isinstance(c.get("slots"), list):
             out.append(f"crossing #{k}: missing slots")
             continue
         if not _is_int(c.get("id", 0)):
             out.append(f"crossing #{k}: id must be an integer")
+        else:
+            crossing_ids.append(c.get("id", 0))
         slots = c["slots"]
         if len(slots) != 4:
             out.append(f"crossing #{k}: needs exactly 4 slots")
@@ -135,6 +138,8 @@ def _read_json(obj) -> tuple[list[str], Diagram | None]:
                 out.append(f"crossing #{k}: slot references unknown edge {e}")
             else:
                 uses[e] += 1
+    if len(set(crossing_ids)) != len(crossing_ids):
+        out.append("duplicate crossing ids")
     for i in sorted(known):
         if uses[i] != 2:
             out.append(f"edge id {i}: used {uses[i]} times, expected 2")

@@ -16,6 +16,7 @@ from typing import Callable
 from .chain import ChainComplex, build_complex
 from .diagram import Diagram
 from .words import (
+    ConjClass,
     GradingElem,
     torus_class_exponents,
     word_to_str,
@@ -100,21 +101,31 @@ def compare(a: HomologyTable, b: HomologyTable,
 # rendering
 
 
-def render_h(h: GradingElem, genus: int) -> str:
+class _ClassNames(dict):
+    """ConjClass -> its text form on one surface, spelled on first use."""
+
+    def __init__(self, genus: int):
+        super().__init__()
+        self.genus = genus
+
+    def __missing__(self, cls: ConjClass) -> str:
+        text = self[cls] = word_to_str(cls.letters, self.genus)
+        return text
+
+
+def _render(h: GradingElem, names: _ClassNames) -> str:
     if h.is_zero:
         return "0"
-    body = "+".join(f"{k}*[{word_to_str(c.letters, genus)}]" for c, k in h.terms)
-    return body.replace("+-", "-")
+    return "+".join(f"{k}*[{names[c]}]" for c, k in h.terms).replace("+-", "-")
 
 
-def _legend(table: HomologyTable) -> list[tuple[str, tuple[int, int]]]:
-    """Torus classes appearing in the table, with their exponent pairs."""
-    seen = {}
-    for (_, _, h) in table.entries:
-        for cls, _ in h.terms:
-            seen[cls] = torus_class_exponents(cls)
-    return sorted(((f"[{word_to_str(c.letters, 1)}]", pq) for c, pq in seen.items()),
-                  key=lambda t: t[0])
+def render_h(h: GradingElem, genus: int) -> str:
+    return _render(h, _ClassNames(genus))
+
+
+def _legend(names: _ClassNames) -> list[tuple[str, tuple[int, int]]]:
+    """Torus classes named in a rendered table, with their exponent pairs."""
+    return sorted((f"[{text}]", torus_class_exponents(c)) for c, text in names.items())
 
 
 def poincare_report(table: HomologyTable, fmt: str = "text",
@@ -126,19 +137,20 @@ def poincare_report(table: HomologyTable, fmt: str = "text",
     single object with the table as a list, meta keys merged at top level.
     """
     items = table.sorted_items()
+    names = _ClassNames(table.genus)  # each class is spelled once per report
     if fmt == "text":
         lines = [f"# flavor={table.flavor} genus={table.genus}"]
         if meta:
             lines += [f"# {k}={v}" for k, v in sorted(meta.items())]
-        lines += [f"({i},{j},{render_h(h, table.genus)}) : {dim}"
+        lines += [f"({i},{j},{_render(h, names)}) : {dim}"
                   for (i, j, h), dim in items]
         lines.append(f"# total dimension {table.total_dim()}")
         if table.genus == 1:
-            lines += [f"# {name} = {pq}" for name, pq in _legend(table)]
+            lines += [f"# {name} = {pq}" for name, pq in _legend(names)]
         return "\n".join(lines) + "\n"
     if fmt == "tsv":
         lines = ["i\tj\th\tdim"]
-        lines += [f"{i}\t{j}\t{render_h(h, table.genus)}\t{dim}"
+        lines += [f"{i}\t{j}\t{_render(h, names)}\t{dim}"
                   for (i, j, h), dim in items]
         return "\n".join(lines) + "\n"
     if fmt == "json":
@@ -146,10 +158,10 @@ def poincare_report(table: HomologyTable, fmt: str = "text",
         doc["flavor"] = table.flavor
         doc["genus"] = table.genus
         doc["table"] = [
-            {"i": i, "j": j, "h": render_h(h, table.genus), "dim": dim}
+            {"i": i, "j": j, "h": _render(h, names), "dim": dim}
             for (i, j, h), dim in items
         ]
         if table.genus == 1:
-            doc["legend"] = {name: list(pq) for name, pq in _legend(table)}
+            doc["legend"] = {name: list(pq) for name, pq in _legend(names)}
         return json.dumps(doc, sort_keys=True, indent=1) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

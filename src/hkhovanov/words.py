@@ -10,12 +10,14 @@ Triviality and conjugacy are decided per genus: everything is trivial on the
 sphere, the torus group is Z^2 (abelianization is faithful), and for genus
 >= 2 we run Dehn's algorithm for the standard one-relator presentation
 [a1,b1]...[ag,bg].  Conjugacy classes are taken up to inversion, since the
-circles they grade are unoriented.
+circles they grade are unoriented.  A class keeps its order key (length,
+then letter order) and its hash from when it is made, so sorting, grading
+sums and tables never key a class's word again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 __all__ = [
@@ -49,14 +51,19 @@ def _letter_str(letter: int, show_index: bool = True) -> str:
     return f"{kind}{idx}" if show_index else kind
 
 
-def _letter_key(letter: int) -> int:
-    # lexicographic order a1 < a1^-1 < b1 < b1^-1 < a2 < ...
-    return 2 * abs(letter) + (1 if letter < 0 else 0)
+class _LetterKeys(dict):
+    """Letter -> rank in a1 < a1^-1 < b1 < b1^-1 < a2 < ...; computed past the table."""
+
+    def __missing__(self, letter: int) -> int:
+        return 2 * abs(letter) + (letter < 0)
+
+
+_LETTER_KEY = _LetterKeys({x: 2 * abs(x) + (x < 0) for x in range(-32, 33) if x})
 
 
 def word_key(w: Word) -> tuple:
     """Sort key: length first, then letter order."""
-    return (len(w), tuple(_letter_key(x) for x in w))
+    return (len(w), tuple(map(_LETTER_KEY.__getitem__, w)))
 
 
 def parse_word(text: str, genus: int) -> Word:
@@ -270,16 +277,9 @@ def _hyperbolic_class_word(w: Word, genus: int) -> Word:
             _cyclic_dehn_reduce(shorter, genus),
             _cyclic_dehn_reduce(invert_word(shorter), genus),
         }
-    best: Word | None = None
-    best_key = None
-    for u in pool:
-        for rot in range(max(1, len(u))):
-            cand = u[rot:] + u[:rot]
-            k = word_key(cand)
-            if best_key is None or k < best_key:
-                best, best_key = cand, k
-    assert best is not None
-    return best
+    # the key of a rotation is the rotation of the key: key each word once
+    return min(((m, ku[r:] + ku[:r]), u[r:] + u[:r])
+               for u in pool for m, ku in (word_key(u),) for r in range(max(1, m)))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +288,29 @@ def _hyperbolic_class_word(w: Word, genus: int) -> Word:
 
 @dataclass(frozen=True, slots=True)
 class ConjClass:
-    """Free homotopy class of an unoriented loop: a canonical cyclic word."""
+    """Free homotopy class of an unoriented loop: a canonical cyclic word.
+
+    Equality and hashing are those of ``letters``; the order key
+    ``word_key(letters)`` and the hash are computed once, when it is made.
+    """
 
     letters: Word
+    key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", word_key(self.letters))
+        object.__setattr__(self, "_hash", hash(self.letters))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_trivial(self) -> bool:
         return not self.letters
 
     def __lt__(self, other: "ConjClass") -> bool:
-        return word_key(self.letters) < word_key(other.letters)
+        return self.key < other.key
 
     def __str__(self) -> str:
         return word_to_str(self.letters) if self.letters else "1"
@@ -382,7 +395,7 @@ class GradingElem:
         return not self.terms
 
     def sort_key(self) -> tuple:
-        return tuple((word_key(c.letters), k) for c, k in self.terms)
+        return tuple((c.key, k) for c, k in self.terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -413,7 +426,7 @@ def grading_add(x: GradingElem, y: GradingElem) -> GradingElem:
             acc[cls] = v
         else:
             del acc[cls]
-    return GradingElem(tuple(sorted(acc.items(), key=lambda t: word_key(t[0].letters))))
+    return GradingElem(tuple(sorted(acc.items(), key=lambda t: t[0].key)))
 
 
 def grading_negate(x: GradingElem) -> GradingElem:

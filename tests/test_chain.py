@@ -1,5 +1,8 @@
 """Label maps, case dispatch, face identities, and complex assembly."""
 
+import collections
+import random
+
 import pytest
 
 from hkhovanov.chain import (
@@ -19,7 +22,14 @@ from hkhovanov.chain import (
 )
 from hkhovanov.cube import circle_classes, cube_edges, resolve
 from hkhovanov.gf2 import GF2Matrix
-from hkhovanov.words import Surface, TRIVIAL_CLASS, ZERO_GRADING, grading_term
+from hkhovanov.randgen import random_diagram
+from hkhovanov.words import (
+    Surface,
+    TRIVIAL_CLASS,
+    ZERO_GRADING,
+    grading_add,
+    grading_term,
+)
 
 from helpers import corpus
 
@@ -264,3 +274,25 @@ def test_two_equal_circles_sum_their_class():
             break
     else:
         raise AssertionError("no doubled-class state found")
+
+
+def test_slice_gradings_are_the_grading_fold():
+    # genus 3, several classes per state: build_complex writes each slice's
+    # grading straight from its class ids; generator_gradings folds grading_add
+    d = random_diagram(random.Random(2), 5, 3, max_word_len=3, n_loops=1)
+    cx = build_complex(d)
+    for _, h in cx.slices:
+        fold = ZERO_GRADING
+        for cls, coeff in h.terms:
+            fold = grading_add(fold, grading_term(cls, coeff))
+        assert h == fold
+    want = collections.Counter()
+    for s in range(1 << d.n_crossings):
+        n = resolve(d, s).n_circles
+        for mask in range(1 << n):
+            labels = tuple((mask >> t) & 1 for t in range(n))
+            want[generator_gradings(d, s, labels)] += 1
+    got = collections.Counter({(i, j, h): cnt for (j, h), sc in cx.slices.items()
+                               for i, cnt in sc.dims.items()})
+    assert got == want
+    assert max(len(h.terms) for _, h in cx.slices) >= 3

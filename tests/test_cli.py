@@ -11,6 +11,7 @@ import pytest
 from hkhovanov import cli, cube, diagram
 from hkhovanov.cli import main, parse_moves, spec_to_str
 from hkhovanov.diagram import diagram_to_json
+from hkhovanov.homology import kh_h, poincare_report
 from hkhovanov.moves import MoveSpec
 from hkhovanov.randgen import random_diagram
 
@@ -216,6 +217,47 @@ def test_dump_cube_infers_ends_once_and_traces_each_state_once(monkeypatch, caps
     assert counts == {"_infer_ends": 1, "resolve": 8}
 
 
+# compute output recorded at commit 32d5d72, before class names and keys were
+# stored: random_diagram(Random(seed), n, genus, max_word_len=3, n_loops=1),
+# each table holding multi-term h (genus 1 adds the legend)
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+GOLDEN_DIAGRAMS = {"g1_seed5": (5, 3, 1), "g2_seed3": (3, 4, 2), "g3_seed2": (2, 4, 3)}
+GOLDEN_ARGS = {
+    "tsv": (),
+    "json": ("--format", "json"),
+    "noshift.json": ("--format", "json", "--no-shift"),
+    "classical.tsv": ("--flavor", "classical"),
+}
+
+
+def golden_input(case, tmp_path):
+    seed, n, genus = GOLDEN_DIAGRAMS[case]
+    d = random_diagram(random.Random(seed), n, genus, max_word_len=3, n_loops=1)
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(diagram_to_json(d)))
+    return d, path
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DIAGRAMS))
+@pytest.mark.parametrize("variant", sorted(GOLDEN_ARGS))
+def test_compute_golden_bytes(case, variant, tmp_path, capsys):
+    _, path = golden_input(case, tmp_path)
+    code, out, err = run(capsys, "compute", path, *GOLDEN_ARGS[variant])
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / f"{case}.{variant}").read_text()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DIAGRAMS))
+@pytest.mark.parametrize("shift", [True, False])
+def test_text_report_golden_bytes(case, shift, tmp_path):
+    # compute offers no text format: this is the report call it makes, asked for text
+    d, path = golden_input(case, tmp_path)
+    meta = {"diagram": hashlib.sha256(path.read_bytes()).hexdigest()}
+    out = poincare_report(kh_h(d, shift=shift), "text", meta=meta)
+    name = "txt" if shift else "noshift.txt"
+    assert out == (GOLDEN / f"{case}.{name}").read_text()
+
+
 def test_missing_file_is_a_diagnostic(capsys):
     code, out, err = run(capsys, "compute", "/nonexistent/diagram.json")
     assert code == 2 and out == ""
@@ -244,12 +286,20 @@ def test_schema_violations_are_diagnosed(tmp_path, capsys):
     assert code == 2 and "unknown edge 7" in err
     # wrongly typed fields: each used to escape as a traceback or be misread
     empty = {"genus": 0, "edges": [], "crossings": []}
+    trefoil = json.loads(pathlib.Path(corpus_path("trefoil_rh")).read_text())
     for patch, why in [
         ({"edges": [{"id": 0, "word": ""}], "crossings": [{"slots": [[0], 0, 0, 0]}]},
          "integer edge ids"),
         ({"free_loops": 5}, "free_loops must be a list"),
         ({"genus": 1, "free_loops": "ab"}, "free_loops must be a list"),
         ({"genus": True}, "genus must be a nonnegative integer"),
+        # trefoil_rh with every crossing id 0, then with ids 0, 1 and a
+        # missing one, which reads as 0
+        ({**trefoil, "crossings": [{**c, "id": 0} for c in trefoil["crossings"]]},
+         "duplicate crossing ids"),
+        ({**trefoil, "crossings": [{"slots": c["slots"]} if c["id"] == 2 else c
+                                   for c in trefoil["crossings"]]},
+         "duplicate crossing ids"),
     ]:
         bad.write_text(json.dumps({**empty, **patch}))
         code, out, err = run(capsys, "compute", bad)

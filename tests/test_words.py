@@ -21,6 +21,7 @@ from hkhovanov.words import (
     invert_word,
     parse_word,
     torus_class_exponents,
+    word_key,
     word_to_str,
 )
 
@@ -202,3 +203,14 @@ def test_grading_str_forms():
     assert str(ZERO_GRADING) == "0"
     assert str(grading_term(a, 2)) == "2*[a1]"
     assert str(grading_term(a, -1)) == "-1*[a1]"
+
+
+# genus 20 reaches letters past word_key's 16-handle table
+@given(st.lists(word_st(20), max_size=10))
+def test_class_order_and_hash_follow_the_letters(words):
+    classes = [ConjClass(w) for w in words]
+    assert [c.letters for c in sorted(classes)] == sorted(words, key=word_key)
+    for cls, w in zip(classes, words):
+        twin = ConjClass(tuple(w))
+        assert twin == cls and hash(twin) == hash(cls) == hash(w)
+        assert cls.key == word_key(w) == (len(w), tuple(2 * abs(x) + (x < 0) for x in w))
