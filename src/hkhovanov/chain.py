@@ -96,47 +96,37 @@ def merge_case(c1: ConjClass, c2: ConjClass, c: ConjClass) -> str | None:
     noncontractible).  Raises ValueError on a triple that no honest
     resolution can produce.
     """
-    t1, t2, t = c1.is_trivial, c2.is_trivial, c.is_trivial
-    if t1 and t2:
-        if not t:
-            raise ValueError("corrupted resolution: trivial circles fused into a nontrivial one")
-        return "m"
-    if t2:  # c1 nontrivial
-        if t or c != c1:
-            raise ValueError("corrupted resolution: merge with a trivial side must keep the class")
-        return "m1"
-    if t1:  # c2 nontrivial
-        if t or c != c2:
-            raise ValueError("corrupted resolution: merge with a trivial side must keep the class")
-        return "m2"
-    # both sides nontrivial
-    if t:
-        if c1 != c2:
-            raise ValueError("corrupted resolution: cancelling circles must share a class")
-        return "m0"
-    return None
+    suffix = _case(c, c1, c2, "merge of {a} and {b} into {whole}")
+    return None if suffix is None else "m" + suffix
 
 
 def split_case(c: ConjClass, c1: ConjClass, c2: ConjClass) -> str | None:
     """Pick the split table for a circle c dividing into c1, c2; dual of merge_case."""
-    t1, t2, t = c1.is_trivial, c2.is_trivial, c.is_trivial
-    if t1 and t2:
-        if not t:
-            raise ValueError("corrupted resolution: nontrivial circle split into trivial pieces")
-        return "delta"
-    if t2:
-        if t or c != c1:
-            raise ValueError("corrupted resolution: split with a trivial side must keep the class")
-        return "delta1"
-    if t1:
-        if t or c != c2:
-            raise ValueError("corrupted resolution: split with a trivial side must keep the class")
-        return "delta2"
-    if t:
-        if c1 != c2:
-            raise ValueError("corrupted resolution: a trivial circle splits into a class and its mirror")
-        return "delta0"
-    return None
+    suffix = _case(c, c1, c2, "split of {whole} into {a} and {b}")
+    return None if suffix is None else "delta" + suffix
+
+
+def _case(whole: ConjClass, a: ConjClass, b: ConjClass, what: str) -> str | None:
+    """Table suffix for the circles a, b on one side of an edge and ``whole``
+    on the other: "" all trivial, "1" only a nontrivial, "2" only b
+    nontrivial, "0" two nontrivial classes that cancel, None all nontrivial.
+
+    A one-sided case must keep its class, and cancelling classes must be
+    equal; otherwise ValueError names the three classes in ``what``.
+    """
+    if a.is_trivial and b.is_trivial:
+        ok, suffix = whole.is_trivial, ""
+    elif b.is_trivial:
+        ok, suffix = whole == a, "1"
+    elif a.is_trivial:
+        ok, suffix = whole == b, "2"
+    elif whole.is_trivial:
+        ok, suffix = a == b, "0"
+    else:
+        return None
+    if not ok:
+        raise ValueError("corrupted resolution: " + what.format(a=a, b=b, whole=whole))
+    return suffix
 
 
 def edge_table(edge: CubeEdge, src: tuple[ConjClass, ...],

@@ -9,11 +9,12 @@ Crossing slots are in counterclockwise cyclic order starting from the
 incoming understrand, so slot 0 is the incoming and slot 2 the outgoing
 understrand; the overstrand occupies slots 1 and 3.  The file format stores
 bare edge ids per slot; which end of an edge sits in a slot is inferred by
-constraint propagation (slot 0 takes a head, slot 2 a tail, the two over
+one XOR-constraint solver (slot 0 takes a head, slot 2 a tail, the two over
 slots take one head and one tail, and every edge has one of each).
 Components that never pass under are orientation-ambiguous; their direction
 is fixed deterministically by orienting the least (crossing, slot)
-appearance as incoming.
+appearance as incoming.  The same solver finds source-sink orientations,
+in which the least edge of each component keeps its direction.
 """
 
 from __future__ import annotations
@@ -155,79 +156,65 @@ def _read_json(obj) -> tuple[list[str], Diagram | None]:
     idx = {eid: n for n, eid in enumerate(sorted(known))}
     slot_tables = [tuple(idx[e] for e in c["slots"])
                    for c in sorted(crossings, key=lambda c: c.get("id", 0))]
-    val = _infer_ends(len(known), slot_tables)
-    if isinstance(val, str):
-        return [val], None
-    ends = tuple(
-        tuple((e, val[(c, s)]) for s, e in enumerate(slots))
-        for c, slots in enumerate(slot_tables)
-    )
+    ends = _infer_ends(len(known), slot_tables)
+    if ends is None:
+        return ["orientation-inconsistent slot structure"], None
     return [], Diagram(genus, tuple(words[i] for i in sorted(known)), ends, tuple(loops))
 
 
-def _infer_ends(n_edges: int, slot_tables: list[tuple[int, int, int, int]]):
-    """Resolve which end of each edge sits in each slot, or an error string.
+def _solve_parity(n: int, relations: list[tuple[int, int, int]],
+                  pins: dict[int, int], free: int) -> list[int] | None:
+    """Values 0/1 of nodes 0..n-1 with val[u] ^ val[v] == parity for every
+    (u, v, parity) in relations, or None on a contradiction.
 
-    Appearance values: 1 = flows into the crossing (head), 0 = out (tail).
-    Slot 0 is pinned to 1 and slot 2 to 0; the two over slots differ, and the
-    two appearances of an edge differ.  Components with no pinned node get
-    their least appearance set to 1.
+    A connected component takes its values from its pinned nodes; one with no
+    pinned node gives its least node the value ``free``.
     """
-    apps: dict[int, list[tuple[int, int]]] = {e: [] for e in range(n_edges)}
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, parity in relations:
+        adj[u].append((v, parity))
+        adj[v].append((u, parity))
+    val: list[int | None] = [None] * n
+    for start in [*pins, *range(n)]:  # pinned nodes seed their components first
+        if val[start] is not None:
+            continue
+        val[start] = pins.get(start, free)
+        queue = [start]
+        for u in queue:
+            for v, parity in adj[u]:
+                if val[v] is None:
+                    val[v] = val[u] ^ parity
+                    queue.append(v)
+                elif val[v] != val[u] ^ parity:
+                    return None
+    if any(val[u] != want for u, want in pins.items()):
+        return None
+    return val
+
+
+def _infer_ends(n_edges: int, slot_tables: list[tuple[int, int, int, int]]
+                ) -> tuple[Crossing, ...] | None:
+    """Which end of each edge sits in each slot, or None when no choice fits.
+
+    Slot s of crossing c is node 4c+s, valued HEAD (flows into the crossing)
+    or TAIL.  Slot 0 is pinned to HEAD and slot 2 to TAIL; the two over slots
+    differ, and the two appearances of an edge differ.  A strand that only
+    passes over takes HEAD at its least slot.
+    """
+    apps: list[list[int]] = [[] for _ in range(n_edges)]
+    pins: dict[int, int] = {}
+    relations = []
     for c, slots in enumerate(slot_tables):
         for s, e in enumerate(slots):
-            apps[e].append((c, s))
-    # all constraints are "values differ"
-    neighbours: dict[tuple[int, int], list[tuple[int, int]]] = {}
-
-    def link(u, v):
-        neighbours.setdefault(u, []).append(v)
-        neighbours.setdefault(v, []).append(u)
-
-    for c in range(len(slot_tables)):
-        link((c, 1), (c, 3))
-    for locs in apps.values():
-        link(locs[0], locs[1])
-    pinned = {}
-    for c in range(len(slot_tables)):
-        pinned[(c, 0)] = 1
-        pinned[(c, 2)] = 0
-    nodes = sorted({(c, s) for c in range(len(slot_tables)) for s in range(4)})
-    val: dict[tuple[int, int], int] = {}
-    seen: set[tuple[int, int]] = set()
-    for start in nodes:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for v in neighbours.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    queue.append(v)
-        anchors = [v for v in comp if v in pinned]
-        anchor = min(anchors) if anchors else min(comp)
-        val[anchor] = pinned.get(anchor, 1)
-        queue = [anchor]
-        done = {anchor}
-        while queue:
-            u = queue.pop()
-            for v in neighbours.get(u, ()):
-                want = 1 - val[u]
-                if v in done:
-                    if val[v] != want:
-                        return "orientation-inconsistent slot structure"
-                else:
-                    val[v] = want
-                    done.add(v)
-                    queue.append(v)
-        for v in comp:
-            if v in pinned and val[v] != pinned[v]:
-                return "orientation-inconsistent slot structure"
-    return val
+            apps[e].append(4 * c + s)
+        pins[4 * c], pins[4 * c + 2] = HEAD, TAIL
+        relations.append((4 * c + 1, 4 * c + 3, 1))
+    relations += [(a, b, 1) for a, b in apps]
+    val = _solve_parity(4 * len(slot_tables), relations, pins, free=HEAD)
+    if val is None:
+        return None
+    return tuple(tuple((e, val[4 * c + s]) for s, e in enumerate(slots))
+                 for c, slots in enumerate(slot_tables))
 
 
 def diagram_from_json(obj) -> Diagram:
@@ -322,45 +309,17 @@ def source_sink_orientation(d: Diagram) -> list[int] | None:
     """Edge re-orientation making every crossing a source-sink vertex.
 
     Source-sink: the two incoming slots are opposite (0,2 or 1,3).  Returns
-    +1 (keep direction) / -1 (flip) per edge, or None when impossible.
-    Free loops are unconstrained.
+    +1 (keep direction) / -1 (flip) per edge, or None when impossible.  The
+    least edge of each set of edges tied together by the crossings keeps its
+    direction.  Free loops are unconstrained.
     """
-    n = len(d.edge_words)
-    # union-find with parity: flip[e] xor flip[root] tracked on the path
-    parent = list(range(n))
-    parity = [0] * n
-
-    def find(x: int) -> tuple[int, int]:
-        p = 0
-        while parent[x] != x:
-            p ^= parity[x]
-            x = parent[x]
-        return x, p
-
-    def union(x: int, y: int, rel: int) -> bool:
-        rx, px = find(x)
-        ry, py = find(y)
-        if rx == ry:
-            return (px ^ py) == rel
-        parent[rx] = ry
-        parity[rx] = px ^ py ^ rel
-        return True
-
-    for slots in d.crossings:
-        (e0, h0), (e1, h1), (e2, h2), (e3, h3) = slots
-        # toward(s) = head(s) xor flip(e);  need toward0==toward2,
-        # toward1==toward3, toward0!=toward1
-        if not union(e0, e2, h0 ^ h2 ^ 0):
-            return None
-        if not union(e1, e3, h1 ^ h3 ^ 0):
-            return None
-        if not union(e0, e1, h0 ^ h1 ^ 1):
-            return None
-    out = []
-    for e in range(n):
-        _, p = find(e)
-        out.append(-1 if p else 1)
-    return out
+    # toward(s) = head(s) xor flip(e); need toward0 == toward2,
+    # toward1 == toward3 and toward0 != toward1
+    relations = []
+    for (e0, h0), (e1, h1), (e2, h2), (e3, h3) in d.crossings:
+        relations += [(e0, e2, h0 ^ h2), (e1, e3, h1 ^ h3), (e0, e1, h0 ^ h1 ^ 1)]
+    flips = _solve_parity(len(d.edge_words), relations, {}, free=0)
+    return None if flips is None else [-1 if f else 1 for f in flips]
 
 
 def has_source_sink(d: Diagram) -> bool:

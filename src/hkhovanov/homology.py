@@ -65,14 +65,11 @@ def kh_classical(d: Diagram, shift: bool = True) -> HomologyTable:
 
 def euler_consistent(cx: ChainComplex, table: HomologyTable) -> bool:
     """Alternating sums of chain and homology dimensions agree per slice."""
-    for (j, h), sc in cx.slices.items():
-        chain_sum = sum((-1) ** (i & 1) * dim for i, dim in sc.dims.items())
-        hom_sum = sum((-1) ** (i & 1) * dim
-                      for (i, jj, hh), dim in table.entries.items()
-                      if jj == j and hh == h)
-        if chain_sum != hom_sum:
-            return False
-    return True
+    hom_sums: dict[tuple[int, GradingElem], int] = {}
+    for (i, j, h), dim in table.entries.items():
+        hom_sums[j, h] = hom_sums.get((j, h), 0) + (-1) ** (i & 1) * dim
+    return all(sum((-1) ** (i & 1) * dim for i, dim in sc.dims.items())
+               == hom_sums.get(key, 0) for key, sc in cx.slices.items())
 
 
 def compare(a: HomologyTable, b: HomologyTable,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagram import Diagram, HEAD, TAIL, crossing_sign, validate
+from .diagram import Diagram, HEAD, SlotRef, TAIL, crossing_sign, validate
 from .words import Word
 
 
@@ -59,6 +59,52 @@ def _strand_pair(p: dict) -> tuple[Strand, Strand]:
 
 
 # ---------------------------------------------------------------------------
+# cutting arcs open for new crossings
+
+
+def _cut(d: Diagram, words: list[Word], crossings: list[list[SlotRef]],
+         strand: Strand, split: int | None) -> tuple[int, int, int]:
+    """Cut an arc open around a new empty middle arc; (front, middle, rear).
+
+    An edge keeps its tail and its first ``split`` letters (default all); an
+    appended rear arc takes the rest of the word and the head slot.  A free
+    loop is rotated by ``split`` and opened into one appended arc that is both
+    front and rear.  New arcs are appended to ``words``.
+    """
+    kind, idx = strand
+    if kind == "edge":
+        if not 0 <= idx < len(d.edge_words):
+            raise ValueError(f"pattern-mismatch: no edge {idx}")
+        w = d.edge_words[idx]
+        k = len(w) if split is None else split
+        if not 0 <= k <= len(w):
+            raise ValueError(f"pattern-mismatch: split {k} outside word of edge {idx}")
+        head_loc = d.edge_ends[idx][HEAD]
+        if head_loc is None:
+            raise RuntimeError("edge without a head end")
+        mid = len(words)
+        words[idx] = w[:k]
+        words += [(), w[k:]]
+        hc, hs = head_loc
+        crossings[hc][hs] = (mid + 1, HEAD)
+        return idx, mid, mid + 1
+    if not 0 <= idx < len(d.free_loops):
+        raise ValueError(f"pattern-mismatch: no free loop {idx}")
+    w = d.free_loops[idx]
+    k = 0 if split is None else split % (len(w) or 1)
+    arc = len(words)
+    words += [w[k:] + w[:k], ()]
+    return arc, arc + 1, arc
+
+
+def _with_cuts(d: Diagram, words: list[Word], crossings: list[list[SlotRef]],
+               strands: tuple[Strand, ...]) -> Diagram:
+    """The Diagram after cutting ``strands``: the free loops among them are gone."""
+    loops = tuple(w for l, w in enumerate(d.free_loops) if ("loop", l) not in strands)
+    return Diagram(d.genus, tuple(words), tuple(tuple(c) for c in crossings), loops)
+
+
+# ---------------------------------------------------------------------------
 # kinks
 
 
@@ -71,43 +117,15 @@ def r1_add(d: Diagram, edge: int | None = None, loop: int | None = None,
     """
     if (edge is None) == (loop is None):
         raise ValueError("pattern-mismatch: r1 add needs exactly one of edge/loop")
+    strand: Strand = ("edge", edge) if loop is None else ("loop", loop)
     words = list(d.edge_words)
-    loops = list(d.free_loops)
     crossings = [list(slots) for slots in d.crossings]
-    if edge is not None:
-        if not 0 <= edge < len(words):
-            raise ValueError(f"pattern-mismatch: no edge {edge}")
-        w = words[edge]
-        k = len(w) if split is None else split
-        if not 0 <= k <= len(w):
-            raise ValueError(f"pattern-mismatch: split {k} outside word of edge {edge}")
-        kink = len(words)
-        back = kink + 1
-        words[edge] = w[:k]
-        words.append(())     # kink loop
-        words.append(w[k:])  # rear part, takes over the old head end
-        head_loc = d.edge_ends[edge][HEAD]
-        if head_loc is None:
-            raise RuntimeError("edge without a head end")
-        hc, hs = head_loc
-        crossings[hc][hs] = (back, HEAD)
-        u, v = edge, back
-    else:
-        if not 0 <= loop < len(loops):
-            raise ValueError(f"pattern-mismatch: no free loop {loop}")
-        w = loops.pop(loop)
-        k = 0 if split is None else split % (len(w) or 1)
-        arc = len(words)
-        kink = arc + 1
-        words.append(w[k:] + w[:k])
-        words.append(())
-        u = v = arc
+    u, kink, v = _cut(d, words, crossings, strand, split)
     if chirality > 0:
         crossings.append([(kink, HEAD), (kink, TAIL), (v, TAIL), (u, HEAD)])
     else:
         crossings.append([(kink, HEAD), (u, HEAD), (v, TAIL), (kink, TAIL)])
-    return Diagram(d.genus, tuple(words), tuple(tuple(c) for c in crossings),
-                   tuple(loops))
+    return _with_cuts(d, words, crossings, (strand,))
 
 
 def kink_at(d: Diagram, c: int) -> tuple[int, int, int] | None:
@@ -158,47 +176,12 @@ def r2_add(d: Diagram, strands: tuple[Strand, Strand],
     else:
         (overs, under), (o_split, u_split) = strands, splits
     words = list(d.edge_words)
-    loops = list(d.free_loops)
     crossings = [list(slots) for slots in d.crossings]
-    dead_loops = []
-
-    def cut(strand: Strand, split: int | None) -> tuple[int, int, int]:
-        """Returns (front edge, middle edge, rear edge) of the cut strand."""
-        kind, idx = strand
-        if kind == "edge":
-            if not 0 <= idx < len(d.edge_words):
-                raise ValueError(f"pattern-mismatch: no edge {idx}")
-            w = words[idx]
-            k = len(w) if split is None else split
-            if not 0 <= k <= len(w):
-                raise ValueError(f"pattern-mismatch: split {k} outside word of edge {idx}")
-            mid = len(words)
-            rear = mid + 1
-            words[idx] = w[:k]
-            words.append(())
-            words.append(w[k:])
-            hc, hs = d.edge_ends[idx][HEAD]
-            crossings[hc][hs] = (rear, HEAD)
-            return idx, mid, rear
-        if not 0 <= idx < len(d.free_loops):
-            raise ValueError(f"pattern-mismatch: no free loop {idx}")
-        w = d.free_loops[idx]
-        k = 0 if split is None else split % (len(w) or 1)
-        arc = len(words)
-        mid = arc + 1
-        words.append(w[k:] + w[:k])
-        words.append(())
-        dead_loops.append(idx)
-        return arc, mid, arc
-
-    u_a, u_m, u_b = cut(under, u_split)
-    o_a, o_m, o_b = cut(overs, o_split)
+    u_a, u_m, u_b = _cut(d, words, crossings, under, u_split)
+    o_a, o_m, o_b = _cut(d, words, crossings, overs, o_split)
     crossings.append([(u_a, HEAD), (o_m, TAIL), (u_m, TAIL), (o_a, HEAD)])  # sign +
     crossings.append([(u_m, HEAD), (o_m, HEAD), (u_b, TAIL), (o_b, TAIL)])  # sign -
-    for idx in sorted(dead_loops, reverse=True):
-        loops.pop(idx)
-    return Diagram(d.genus, tuple(words), tuple(tuple(c) for c in crossings),
-                   tuple(loops))
+    return _with_cuts(d, words, crossings, strands)
 
 
 def bigon_at(d: Diagram, c1: int, c2: int):

@@ -1,6 +1,8 @@
 """Diagram loading, validation, signs, orientations, symmetries."""
 
+import hashlib
 import json
+import pathlib
 import random
 
 import pytest
@@ -123,11 +125,12 @@ def test_source_sink_matches_exhaustive_oracle():
 
 
 def test_source_sink_orientation_is_alternating():
-    for name in CORPUS_NAMES:
-        d = corpus(name)
+    for d in [corpus(name) for name in CORPUS_NAMES] + small_random_diagrams():
         flips = source_sink_orientation(d)
         if flips is None:
             continue
+        # edge 0 is the least edge of its component, so it keeps its direction
+        assert not flips or flips[0] == 1
         for slots in d.crossings:
             toward = [end ^ (flips[e] < 0) for e, end in slots]
             assert toward[0] == toward[2]
@@ -159,3 +162,61 @@ def test_mirror_is_an_involution_and_negates_signs():
         mp, mm, msigns = crossing_signs(m)
         assert (mp, mm) == (nm, np)
         assert msigns == tuple(-s for s in signs)
+
+
+# validate_json messages and sha256(repr(diagram)) per document, recorded at
+# commit f3a3dec, before end inference and source-sink orientation shared a solver
+LOAD_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "diagram_load.json"
+
+
+def load_golden_documents():
+    """600 seeded documents; every third has one crossing's slots rotated by one."""
+    rng = random.Random(5)
+    docs = []
+    for k in range(600):
+        n, genus, n_loops = rng.randint(1, 6), rng.randint(0, 3), rng.randint(0, 1)
+        doc = diagram_to_json(random_diagram(rng, n, genus, 3, n_loops))
+        if k % 3 == 0:
+            slots = doc["crossings"][rng.randrange(n)]["slots"]
+            slots.append(slots.pop(0))
+        docs.append(doc)
+    return docs
+
+
+def load_record(doc):
+    problems = validate_json(doc)
+    if problems:
+        return {"problems": problems, "sha256": None}
+    text = repr(diagram_from_json(doc))
+    return {"problems": [], "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def passes_only_over(d):
+    """Whether some strand component of d never meets a slot 0 or 2."""
+    seen = set()
+    for e in range(len(d.edge_words)):
+        if e in seen:
+            continue
+        seen.add(e)
+        todo, under = [e], False
+        while todo:
+            for c, s in d.edge_ends[todo.pop()]:
+                under |= s % 2 == 0
+                nxt = d.crossings[c][s ^ 2][0]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        if not under:
+            return True
+    return False
+
+
+def test_loading_matches_the_recorded_golden():
+    docs = load_golden_documents()
+    golden = json.loads(LOAD_GOLDEN.read_text())
+    assert [load_record(doc) for doc in docs] == golden
+    rejected = [g for g in golden if "orientation-inconsistent slot structure" in g["problems"]]
+    free = [doc for doc, g in zip(docs, golden)
+            if g["sha256"] and passes_only_over(diagram_from_json(doc))]
+    # both the inconsistency rejection and the free-component rule are exercised
+    assert rejected and free

@@ -90,6 +90,12 @@ def test_euler_characteristic_consistency():
         for flavor in ("homotopical", "classical"):
             cx = build_complex(d, flavor)
             assert euler_consistent(cx, homology_table(cx)), (name, flavor)
+    # one homology dimension off by one breaks the check
+    cx = build_complex(corpus("trefoil_g1"), "homotopical")
+    table = homology_table(cx)
+    key = min(table.entries, key=lambda k: (k[0], k[1], k[2].sort_key()))
+    table.entries[key] += 1
+    assert not euler_consistent(cx, table)
 
 
 def test_circle_ordering_is_immaterial():

@@ -1,5 +1,9 @@
 """Local moves: detection, application, rejection, and table invariance."""
 
+import hashlib
+import json
+import pathlib
+
 import pytest
 
 from hkhovanov.braid import braid_closure
@@ -11,16 +15,18 @@ from hkhovanov.moves import (
     bigon_at,
     kink_at,
     r1_add,
+    r1_add_sites,
     r1_remove,
     r1_remove_sites,
     r2_add,
+    r2_add_sites,
     r2_remove,
     r2_remove_sites,
     r3,
 )
 from hkhovanov.words import parse_word
 
-from helpers import corpus
+from helpers import CORPUS_NAMES, corpus
 
 
 def tables_equal(a, b):
@@ -72,6 +78,13 @@ def test_r1_add_splits_the_word_where_asked():
     for split in range(len(base.edge_words[worded]) + 1):
         kinked = r1_add(base, edge=worded, split=split)
         assert validate(kinked) == []
+        tables_equal(kinked, base)
+    # a free loop is rotated by split before it is cut open
+    base = Diagram(1, (), (), (parse_word("a B", 1),))
+    for split, word in ((None, "a B"), (1, "B a"), (3, "B a")):
+        kinked = r1_add(base, loop=0, split=split)
+        assert kinked.edge_words == (parse_word(word, 1), ())
+        assert not kinked.free_loops
         tables_equal(kinked, base)
 
 
@@ -174,3 +187,22 @@ def test_r3_rejections():
         r3(corpus("torus_link2"), 1, 2, 3)
     with pytest.raises(ValueError, match="pattern-mismatch"):
         r3(corpus("clasp_plus"), 0, 1, 2)
+
+
+# sha256 over repr(apply_move(d, spec)) for every r1/r2 add site of each corpus
+# diagram, recorded at commit f3a3dec, before r1 and r2 shared one arc cut
+MOVES_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "moves_add.json"
+
+
+def add_moves_digest(d):
+    h = hashlib.sha256()
+    for spec in r1_add_sites(d) + r2_add_sites(d):
+        h.update(repr(apply_move(d, spec)).encode())
+    return h.hexdigest()
+
+
+def test_add_moves_match_the_recorded_golden():
+    golden = json.loads(MOVES_GOLDEN.read_text())
+    got = {name: add_moves_digest(corpus(name))
+           for name in CORPUS_NAMES if name != "perf12_genus1"}
+    assert got == golden
