@@ -22,6 +22,7 @@ in either flavor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 from .cube import Circle, CubeEdge, Resolution, circle_classes, iter_edges, resolve
@@ -144,10 +145,11 @@ def edge_table(edge: CubeEdge, src: tuple[ConjClass, ...],
     return split_case(src[i], tgt[j], tgt[k])
 
 
-def _label_images(edge: CubeEdge, table: str) -> tuple[int, dict[int, tuple[int, ...]]]:
+def _label_images(kind: str, indices: tuple, table: str
+                  ) -> tuple[int, dict[int, tuple[int, ...]]]:
     """(bits of the consumed source circles, those bits' labels -> target bit patterns)."""
-    i, j, k = edge.indices
-    if edge.kind == "merge":
+    i, j, k = indices
+    if kind == "merge":
         return (1 << i) | (1 << j), {(x << i) | (y << j): tuple(o << k for o in outs)
                                      for (x, y), outs in MERGE_TABLES[table].items()}
     return 1 << i, {x << i: tuple((o1 << j) | (o2 << k) for o1, o2 in outs)
@@ -392,15 +394,16 @@ class ChainComplex:
 
 def _transform_resolution(res: Resolution, reverse_circles: bool,
                           invert_circle_words: bool) -> Resolution:
-    circles, owner = res.circles, res.owner
+    circles, owner, anchors = res.circles, res.owner, res.anchors
     if invert_circle_words:
         circles = tuple(Circle(c.darts, invert_word(c.word), c.loop) for c in circles)
     if reverse_circles:
         circles = tuple(reversed(circles))
         owner = tuple(len(circles) - 1 - i for i in owner)
+        anchors = tuple(reversed(anchors))
     if circles is res.circles:
         return res
-    return Resolution(res.state, circles, owner)
+    return Resolution(res.state, circles, owner, anchors)
 
 
 def _grading_key(nontrivial: tuple[tuple[int, int], ...],
@@ -412,6 +415,13 @@ def _grading_key(nontrivial: tuple[tuple[int, int], ...],
         if coeff:
             out.append((cid, coeff))
     return tuple(out)
+
+
+def _slice_key(key: tuple[int, tuple[tuple[int, int], ...]], dj: int,
+               class_pool: list[ConjClass]) -> tuple[int, GradingElem]:
+    """Output slice key (shifted j, grading) of a (j, class id key) pair."""
+    j, hkey = key
+    return j + dj, GradingElem(tuple((class_pool[cid], coeff) for cid, coeff in hkey))
 
 
 def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True,
@@ -452,19 +462,18 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True,
                 groups[cid] = groups.get(cid, 0) | (1 << t)
         state_groups.append(tuple(sorted(groups.items())))
 
-    # enumerate generators: assign each (state, mask) a slice and a column
+    # enumerate generators: positions[s][mask] = (slice id, column)
     slice_ids: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
     slice_keys: list[tuple[int, tuple[tuple[int, int], ...]]] = []
     dims: list[dict[int, int]] = []
-    gen_pos: dict[int, tuple[int, int]] = {}
-    mask_bits = max((res.n_circles for res in resolutions), default=0)
-    for s in range(1 << n):
-        gamma = resolutions[s].n_circles
+    positions: list[list[tuple[int, int]]] = []
+    for s, res in enumerate(resolutions):
+        gamma = res.n_circles
         beta = s.bit_count()
         groups = state_groups[s]
+        pos = []
         for mask in range(1 << gamma):
-            j = 2 * mask.bit_count() - gamma + beta
-            key = (j, _grading_key(groups, mask))
+            key = (2 * mask.bit_count() - gamma + beta, _grading_key(groups, mask))
             sid = slice_ids.get(key)
             if sid is None:
                 sid = len(slice_keys)
@@ -473,58 +482,60 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True,
                 dims.append({})
             col = dims[sid].get(beta, 0)
             dims[sid][beta] = col + 1
-            gen_pos[(s << mask_bits) | mask] = (sid, col)
+            pos.append((sid, col))
+        positions.append(pos)
 
-    # boundary matrices, one per (slice, degree) that has a source generator
-    mats: dict[tuple[int, int], list[int]] = {}
+    # boundary rows by source degree, then slice id; the label images of a
+    # (kind, indices, table) are made once per build
+    di = -n_minus if shift else 0
+    dj = n_plus - 2 * n_minus if shift else 0
+    mats: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
+    label_images = cache(_label_images)
     for edge in iter_edges(d, resolutions):
         s, t = edge.source, edge.target
         table = edge_table(edge, state_classes[s], state_classes[t])
         if table is None:
             continue
-        consumed, images = _label_images(edge, table)
-        gamma = resolutions[s].n_circles
+        consumed, images = label_images(edge.kind, edge.indices, table)
         beta = s.bit_count()
+        rows, pos_s, pos_t = mats[beta], positions[s], positions[t]
 
-        # scatter: source label mask -> target bits of the unchanged circles
-        # (the consumed circles add none)
-        contrib = [0] * gamma
+        # scat: source label mask -> target bits of the unchanged circles (the
+        # consumed circles add none), filled in the same pass as the rows
+        contrib = [0] * resolutions[s].n_circles
         for sp, tp in edge.unchanged:
             contrib[sp] = 1 << tp
-        scat = [0] * (1 << gamma)
-        for mask in range(1, 1 << gamma):
-            low = mask & -mask
-            scat[mask] = scat[mask ^ low] | contrib[low.bit_length() - 1]
-
-        for mask in range(1 << gamma):
+        scat = [0] * len(pos_s)
+        for mask, (sid, col) in enumerate(pos_s):
+            if mask:
+                low = mask & -mask
+                scat[mask] = scat[mask ^ low] | contrib[low.bit_length() - 1]
             outs = images[mask & consumed]
             if not outs:
                 continue
-            sid, col = gen_pos[(s << mask_bits) | mask]
-            row = mats.get((sid, beta))
+            row = rows.get(sid)
             if row is None:
-                row = [0] * dims[sid][beta]
-                mats[(sid, beta)] = row
-            base = (t << mask_bits) | scat[mask]
+                row = rows[sid] = [0] * dims[sid][beta]
             for out in outs:
-                tsid, tcol = gen_pos[base | out]
+                tsid, tcol = pos_t[scat[mask] | out]
                 if tsid != sid:
-                    raise RuntimeError("differential left its grading slice")
+                    (ja, ha), (jb, hb) = (_slice_key(slice_keys[x], dj, class_pool)
+                                          for x in (sid, tsid))
+                    raise RuntimeError(f"differential left its grading slice at state {s},"
+                                       f" crossing {edge.crossing}: slice (j={ja}, h={ha})"
+                                       f" -> (j={jb}, h={hb})")
                 row[col] |= 1 << tcol
 
     # package, applying the orientation shifts to the output gradings
-    di = -n_minus if shift else 0
-    dj = n_plus - 2 * n_minus if shift else 0
     slices: dict[tuple[int, GradingElem], SliceComplex] = {}
-    for sid, (j, hkey) in enumerate(slice_keys):
-        h = GradingElem(tuple((class_pool[cid], coeff) for cid, coeff in hkey))
+    for sid, key in enumerate(slice_keys):
         sdims = {beta + di: cnt for beta, cnt in dims[sid].items()}
         smats = {}
         for beta, cnt in dims[sid].items():
-            rows = mats.get((sid, beta))
+            rows = mats[beta].get(sid)
             if rows is not None:
                 smats[beta + di] = GF2Matrix(cnt, dims[sid].get(beta + 1, 0), rows)
-        slices[(j + dj, h)] = SliceComplex(sdims, smats)
+        slices[_slice_key(key, dj, class_pool)] = SliceComplex(sdims, smats)
     return ChainComplex(d.genus, flavor, n_plus, n_minus, shift, slices)
 
 

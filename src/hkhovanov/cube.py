@@ -2,19 +2,21 @@
 
 A state is an n-bit mask, bit c giving the smoothing of crossing c: the
 0-smoothing joins slot pairs (0,1) and (2,3), the 1-smoothing joins (0,3)
-and (1,2).  Circles are traced through darts (edge, direction); each circle
-is read from its least edge, traversed tail-to-head, concatenating edge
-words (inverted against the traversal).  Circles are listed sorted by least
-visited edge, with crossing-free loops appended after them in input order.
-A resolution also keeps an owner index: for each edge the position of the
-circle through it, then one slot per free loop.
+and (1,2).  Circles are traced through darts (edge, direction), stepping
+through the diagram's dart table (``Diagram.dart_steps``, built once per
+diagram); each circle is read from its least edge, traversed tail-to-head,
+concatenating edge words (inverted against the traversal).  Circles are
+listed sorted by least visited edge, with crossing-free loops appended after
+them in input order.  A resolution also keeps an owner index: for each edge
+the position of the circle through it, then one slot per free loop; and per
+circle its anchor, the owner slot of its least edge or of its loop.
 
 A cube edge flips one crossing from 0 to 1.  Only the circles through that
-crossing change, so the owner index at its four slots tells the edge apart:
-a merge (two circles become one), a split, or neutral (one circle re-glues
-to one circle); neutral edges only occur when the diagram has no
-source-sink structure.  Every other circle keeps its darts and is matched
-to the target circle that owns its least edge, or its loop slot.
+crossing change, so the owner index at its slots tells the edge apart: a
+merge (two circles become one), a split, or neutral (one circle re-glues to
+one circle); neutral edges only occur when the diagram has no source-sink
+structure.  Every other circle keeps its darts and is matched to the target
+circle that owns its anchor.
 """
 
 from __future__ import annotations
@@ -22,17 +24,14 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .diagram import Diagram, HEAD, TAIL
-from .words import ConjClass, Word, free_reduce, invert_word
+from .diagram import Diagram
+from .words import ConjClass, Word, free_reduce
 
 __all__ = ["Circle", "Resolution", "CubeEdge", "resolve", "classify_edge", "iter_edges",
            "cube_edges"]
 
-_PAIRS0 = (1, 0, 3, 2)  # partner slot under the 0-smoothing
-_PAIRS1 = (3, 2, 1, 0)  # partner slot under the 1-smoothing
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Circle:
     """One smoothed component: its darts, traced word, and edge support.
 
@@ -48,12 +47,14 @@ class Circle:
         return frozenset(e for e, _ in self.darts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Resolution:
     state: int
     circles: tuple[Circle, ...]
     # circle position per edge id, then per free loop (slot n_edges + loop)
     owner: tuple[int, ...]
+    # per circle, the owner slot of its least edge or of its loop
+    anchors: tuple[int, ...]
 
     @property
     def n_circles(self) -> int:
@@ -61,42 +62,40 @@ class Resolution:
 
 
 def resolve(d: Diagram, state: int) -> Resolution:
-    """Trace the circles of one state."""
+    """Trace the circles of one state through the diagram's dart table."""
+    steps = d.dart_steps
     n_edges = len(d.edge_words)
-    partners = [_PAIRS1 if (state >> c) & 1 else _PAIRS0 for c in range(d.n_crossings)]
-    ends = d.edge_ends
     owner: list[int | None] = [None] * n_edges
     circles: list[Circle] = []
+    anchors: list[int] = []
     for e0 in range(n_edges):
         if owner[e0] is not None:
             continue
         pos = len(circles)
         darts: list[tuple[int, int]] = []
         word: list[int] = []
-        e, direction = e0, 1
+        dart = start = 2 * e0
         while True:
+            e = dart >> 1
             if owner[e] is not None:
                 raise RuntimeError("corrupted diagram: edge traversed twice")
             owner[e] = pos
-            darts.append((e, direction))
-            w = d.edge_words[e]
-            word.extend(w if direction > 0 else invert_word(w))
-            arrive = ends[e][HEAD if direction > 0 else TAIL]
-            assert arrive is not None
-            c, s = arrive
-            s2 = partners[c][s]
-            e, end = d.crossings[c][s2]
-            direction = 1 if end == TAIL else -1
-            if (e, direction) == (e0, 1):
+            c, nxt0, nxt1, w, pair = steps[dart]
+            darts.append(pair)
+            word += w
+            dart = nxt1 if (state >> c) & 1 else nxt0
+            if dart == start:
                 break
         circles.append(Circle(tuple(darts), tuple(word)))
+        anchors.append(e0)
     for k, w in enumerate(d.free_loops):
+        anchors.append(len(owner))
         owner.append(len(circles))
         circles.append(Circle((), tuple(w), loop=k))
-    return Resolution(state, tuple(circles), tuple(owner))
+    return Resolution(state, tuple(circles), tuple(owner), tuple(anchors))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CubeEdge:
     """One differential edge of the cube: state -> state | (1 << crossing)."""
 
@@ -116,27 +115,24 @@ class CubeEdge:
 
 
 def classify_edge(d: Diagram, src: Resolution, tgt: Resolution) -> CubeEdge:
-    """Classify the cube edge between two states one crossing apart."""
+    """Classify the cube edge from src to tgt, which 1-smoothes one more crossing."""
     crossing = (src.state ^ tgt.state).bit_length() - 1
-    at_crossing = [e for e, _ in d.crossings[crossing]]
-    ins = sorted({src.owner[e] for e in at_crossing})
-    outs = sorted({tgt.owner[e] for e in at_crossing})
-    if len(ins) == len(outs) == 2:
-        raise RuntimeError(
-            f"corrupted diagram: state {src.state:b} -> {tgt.state:b} changes "
-            "2 circles into 2"
-        )
-    if len(ins) == len(outs):
-        kind, indices, changed = "neutral", (ins[0], None, outs[0]), ()
+    # the 0-smoothing joins slots 0 and 1, the 1-smoothing slots 0 and 3
+    (e0, _), (e1, _), (e2, _), _ = d.crossings[crossing]
+    i, j = sorted((src.owner[e0], src.owner[e2]))
+    k, m = sorted((tgt.owner[e0], tgt.owner[e1]))
+    if i == j and k == m:
+        # a re-glued (neutral) circle keeps its support, so it is matched too
+        kind, indices, changed = "neutral", (i, None, k), ()
+    elif i == j:
+        kind, indices, changed = "split", (i, k, m), (i,)
+    elif k == m:
+        kind, indices, changed = "merge", (i, j, k), (i, j)
     else:
-        kind = "merge" if len(ins) == 2 else "split"
-        indices, changed = (*ins, *outs), ins
-    # a re-glued (neutral) circle keeps its support, so it is matched too
-    n_edges = len(d.edge_words)
-    pairs = tuple(
-        (i, tgt.owner[circ.darts[0][0] if circ.darts else n_edges + circ.loop])
-        for i, circ in enumerate(src.circles) if i not in changed
-    )
+        raise RuntimeError(f"corrupted diagram: state {src.state:b} -> {tgt.state:b}"
+                           " changes 2 circles into 2")
+    owner = tgt.owner
+    pairs = tuple([(p, owner[a]) for p, a in enumerate(src.anchors) if p not in changed])
     return CubeEdge(src.state, crossing, kind, indices, pairs)
 
 

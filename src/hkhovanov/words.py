@@ -334,7 +334,8 @@ class Surface:
     """Triviality and conjugacy decisions for one closed oriented surface.
 
     Canonical class words are memoized per instance: the state cube revisits
-    the same circle words many times.
+    the same circle words many times.  Classes are interned per instance too,
+    so every word of one class maps to one ConjClass object.
     """
 
     def __init__(self, genus: int):
@@ -342,6 +343,7 @@ class Surface:
             raise ValueError("genus must be >= 0")
         self.genus = genus
         self._classes: dict[Word, ConjClass] = {}
+        self._interned: dict[Word, ConjClass] = {(): TRIVIAL_CLASS}
 
     def is_trivial(self, w: Word) -> bool:
         check_word(w, self.genus)
@@ -358,20 +360,17 @@ class Surface:
             return hit
         check_word(w, self.genus)
         if self.genus == 0:
-            cls = TRIVIAL_CLASS
+            letters: Word = ()
         elif self.genus == 1:
             p, q = _torus_exponents(w)
-            if (p, q) == (0, 0):
-                cls = TRIVIAL_CLASS
-            else:
-                if p < 0 or (p == 0 and q < 0):
-                    p, q = -p, -q
-                letters = (1,) * p if p >= 0 else (-1,) * (-p)
-                letters += (2,) * q if q >= 0 else (-2,) * (-q)
-                cls = ConjClass(letters)
+            if p < 0 or (p == 0 and q < 0):
+                p, q = -p, -q
+            letters = (1,) * p + ((2,) * q if q >= 0 else (-2,) * -q)
         else:
-            reduced = _hyperbolic_class_word(w, self.genus)
-            cls = TRIVIAL_CLASS if not reduced else ConjClass(reduced)
+            letters = _hyperbolic_class_word(w, self.genus)
+        cls = self._interned.get(letters)
+        if cls is None:
+            cls = self._interned[letters] = ConjClass(letters)
         self._classes[w] = cls
         return cls
 

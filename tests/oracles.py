@@ -98,6 +98,46 @@ def state_circles(d: Diagram, state: int) -> int:
     return len(roots) + len(d.free_loops)
 
 
+def trace_circles(d: Diagram, state: int):
+    """Circles of a resolution, traced independently of cube.py.
+
+    Returns (circles, owner): each circle is (darts, word) with darts the
+    (edge, +1 | -1) steps walked from its least edge tail to head, and word
+    the edge words read along them, an edge walked backwards read inverted;
+    circles are sorted by least edge, then the free loops as ((), word).
+    owner gives the circle of each edge, then of each free loop.
+    """
+    # which (edge, end) meets each (edge, end) across its smoothed crossing
+    across = {}
+    for c, slots in enumerate(d.crossings):
+        pairs = ((0, 3), (1, 2)) if (state >> c) & 1 else ((0, 1), (2, 3))
+        for s1, s2 in pairs:
+            across[slots[s1]] = slots[s2]
+            across[slots[s2]] = slots[s1]
+    n_edges = len(d.edge_words)
+    owner = [None] * n_edges
+    circles = []
+    for first in range(n_edges):
+        if owner[first] is not None:
+            continue
+        darts, word = [], []
+        edge, forward = first, True
+        while owner[edge] is None:
+            owner[edge] = len(circles)
+            darts.append((edge, 1 if forward else -1))
+            w = d.edge_words[edge]
+            word += w if forward else [-x for x in reversed(w)]
+            arrive = (edge, HEAD if forward else TAIL)
+            edge, end = across[arrive]
+            forward = end == TAIL
+        assert (edge, forward) == (first, True), "walk did not close up"
+        circles.append((tuple(darts), tuple(word)))
+    for k, w in enumerate(d.free_loops):
+        owner.append(len(circles))
+        circles.append(((), tuple(w)))
+    return circles, tuple(owner)
+
+
 # ---------------------------------------------------------------------------
 # classical Khovanov homology over GF(2), dict-based
 

@@ -1,6 +1,9 @@
 """Label maps, case dispatch, face identities, and complex assembly."""
 
 import collections
+import hashlib
+import json
+import pathlib
 import random
 
 import pytest
@@ -31,7 +34,7 @@ from hkhovanov.words import (
     grading_term,
 )
 
-from helpers import corpus
+from helpers import CORPUS_NAMES, corpus
 
 SURF = Surface(1)
 A = SURF.canonical_class((1,))
@@ -296,3 +299,62 @@ def test_slice_gradings_are_the_grading_fold():
                                for i, cnt in sc.dims.items()})
     assert got == want
     assert max(len(h.terms) for _, h in cx.slices) >= 3
+
+
+MATRIX_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "matrices.json"
+
+
+def matrix_golden_inputs():
+    """(name, diagram, build options): the corpus, 20 seeded random diagrams
+    of genus 0-3 (most with free loops), and transformed builds of a few."""
+    out = [(name, corpus(name), {}) for name in CORPUS_NAMES]
+    rng = random.Random(21)
+    randoms = []
+    for k in range(20):
+        d = random_diagram(rng, rng.randint(1, 6), k % 4, max_word_len=3, n_loops=k % 3)
+        randoms.append((f"random{k}", d))
+    out += [(name, d, {}) for name, d in randoms]
+    for name, d in [("trefoil_g1", corpus("trefoil_g1")),
+                    ("genus2_loops", corpus("genus2_loops"))] + randoms[:6]:
+        out.append((name, d, {"reverse_circles": True}))
+        out.append((name, d, {"invert_circle_words": True}))
+    return out
+
+
+def matrix_digest(cx) -> str:
+    """sha256 over every slice key, its dims and its raw rows, in slice order."""
+    h = hashlib.sha256()
+    for (j, grading), sc in cx.slices.items():
+        terms = [(c.letters, k) for c, k in grading.terms]
+        mats = [(i, m.nrows, m.ncols, m.rows) for i, m in sc.mats.items()]
+        h.update(repr((j, terms, list(sc.dims.items()), mats)).encode())
+    return h.hexdigest()
+
+
+def matrix_golden_records():
+    return {f"{name} {flavor} {sorted(opts)}": matrix_digest(build_complex(d, flavor, **opts))
+            for name, d, opts in matrix_golden_inputs()
+            for flavor in ("homotopical", "classical")}
+
+
+def test_matrices_match_the_recorded_golden():
+    # pins every boundary matrix bit for bit, not just the homology tables
+    assert matrix_golden_records() == json.loads(MATRIX_GOLDEN.read_text())
+
+
+def test_leaving_the_slice_names_the_site(monkeypatch):
+    # a wrong product m(+ x +) = - drops the quantum grading by 2 on the one
+    # merge of kink_plus: state 0, crossing 0, j = 3 (two + labels, shifted
+    # by n_plus = 1) to j = 1
+    monkeypatch.setitem(MERGE_TABLES["m"], (PLUS, PLUS), fs(MINUS))
+    for flavor in ("homotopical", "classical"):
+        with pytest.raises(RuntimeError) as err:
+            build_complex(corpus("kink_plus"), flavor)
+        assert str(err.value) == ("differential left its grading slice at state 0, "
+                                  "crossing 0: slice (j=3, h=0) -> (j=1, h=0)")
+    # m1 on trefoil_g1 also moves the class-weighted grading, which is named
+    monkeypatch.setitem(MERGE_TABLES["m1"], (PLUS, PLUS), fs(MINUS))
+    with pytest.raises(RuntimeError) as err:
+        build_complex(corpus("trefoil_g1"))
+    assert str(err.value) == ("differential left its grading slice at state 0, crossing 0: "
+                              "slice (j=5, h=1*[a1]) -> (j=3, h=-1*[a1])")

@@ -1,13 +1,16 @@
 """State resolutions and cube edge classification."""
 
 import random
+from functools import cached_property
 
+from hkhovanov import randgen
 from hkhovanov.cube import circle_classes, cube_edges, resolve
-from hkhovanov.chain import merge_case, split_case
-from hkhovanov.randgen import random_diagram
+from hkhovanov.chain import build_complex, merge_case, split_case
+from hkhovanov.diagram import Diagram
+from hkhovanov.randgen import random_diagram, random_diagram_stream
 
 from helpers import CORPUS_NAMES, SMALL_GENUS0, corpus
-from oracles import state_circles
+from oracles import state_circles, trace_circles
 
 
 def small_random_diagrams(count=30, max_crossings=4, max_genus=2, seed=7):
@@ -46,6 +49,48 @@ def test_circle_counts_match_union_find_oracle():
     for d in small_random_diagrams():
         for s in range(1 << d.n_crossings):
             assert resolve(d, s).n_circles == state_circles(d, s)
+
+
+def test_resolve_matches_the_tracing_oracle():
+    inputs = small_random_diagrams() + [
+        corpus(name) for name in CORPUS_NAMES if name != "perf12_genus1"]
+    for d in inputs:
+        for s in range(1 << d.n_crossings):
+            res = resolve(d, s)
+            circles, owner = trace_circles(d, s)
+            assert [(c.darts, c.word) for c in res.circles] == circles
+            assert res.owner == owner
+
+
+def test_dart_table_is_built_once_per_diagram(monkeypatch):
+    built = []
+    table = Diagram.dart_steps.func
+
+    def counted(d):
+        built.append(d)
+        return table(d)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Diagram, "dart_steps")
+    monkeypatch.setattr(Diagram, "dart_steps", prop)
+    d = corpus("trefoil_g1")
+    build_complex(d, "homotopical")
+    build_complex(d, "classical")
+    assert [id(x) for x in built] == [id(d)]
+
+    # the size cap traces every state of every candidate, kept or not
+    built.clear()
+    made = []
+
+    def recorded(*args, **kwargs):
+        made.append(random_diagram(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(randgen, "random_diagram", recorded)
+    kept = list(random_diagram_stream(0, 20, max_crossings=8, max_genus=3, max_word_len=4,
+                                      size_cap=500))
+    assert len(made) > len(kept) == 20
+    assert [id(x) for x in built] == [id(x) for x in made]
 
 
 def test_supports_partition_the_edge_set():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hkhovanov.words
+from hkhovanov.cube import resolve
+from hkhovanov.randgen import random_diagram_stream
 from hkhovanov.words import (
     ConjClass,
     GradingElem,
@@ -101,7 +103,7 @@ def test_class_is_conjugation_invariant(genus, data):
     w = data.draw(word_st(genus, max_len=6))
     u = data.draw(word_st(genus, max_len=4))
     surf = Surface(genus)
-    assert surf.canonical_class(u + w + invert_word(u)) == surf.canonical_class(w)
+    assert surf.canonical_class(u + w + invert_word(u)) is surf.canonical_class(w)
 
 
 @pytest.mark.parametrize("genus", [1, 2])
@@ -109,7 +111,7 @@ def test_class_is_conjugation_invariant(genus, data):
 def test_class_is_inversion_invariant(genus, data):
     w = data.draw(word_st(genus, max_len=6))
     surf = Surface(genus)
-    assert surf.canonical_class(invert_word(w)) == surf.canonical_class(w)
+    assert surf.canonical_class(invert_word(w)) is surf.canonical_class(w)
 
 
 def test_sphere_classes_all_trivial():
@@ -157,6 +159,24 @@ def test_genus2_commutator_identity():
     rhs = surf.canonical_class(parse_word("b2 a2 B2 A2", 2))
     assert not lhs.is_trivial
     assert lhs == rhs
+
+
+def test_classes_are_interned_per_surface():
+    # every word of one class maps to one object, so class-keyed lookups hit
+    # on identity
+    surf = Surface(2)
+    words = ["a1 b1 A1 B1", "b2 a2 B2 A2", "b1 A1 B1 a1", "b1 a1 B1 A1"]
+    classes = [surf.canonical_class(parse_word(t, 2)) for t in words]
+    assert all(c is classes[0] for c in classes)
+    torus = Surface(1)
+    assert torus.canonical_class((1, 2)) is torus.canonical_class((-2, -1))
+    assert torus.canonical_class((1, -1)) is TRIVIAL_CLASS
+    genus3 = Surface(3)
+    seen = [genus3.canonical_class(circle.word)
+            for d in random_diagram_stream(4, 40, max_crossings=5, max_genus=3,
+                                           max_word_len=4) if d.genus == 3
+            for s in range(1 << d.n_crossings) for circle in resolve(d, s).circles]
+    assert len({id(c) for c in seen}) == len(set(seen)) < len(seen)
 
 
 def test_torus_canonical_form_sorts_letters():
