@@ -37,6 +37,8 @@ def _load(path: str) -> tuple[Diagram, str]:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deeply to parse") from exc
     try:
         d = diagram_from_json(obj)
     except ValueError as exc:

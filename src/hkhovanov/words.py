@@ -9,10 +9,14 @@ omitted for handle 1 ("a B").
 Triviality and conjugacy are decided per genus: everything is trivial on the
 sphere, the torus group is Z^2 (abelianization is faithful), and for genus
 >= 2 we run Dehn's algorithm for the standard one-relator presentation
-[a1,b1]...[ag,bg].  Conjugacy classes are taken up to inversion, since the
-circles they grade are unoriented.  A class keeps its order key (length,
-then letter order) and its hash from when it is made, so sorting, grading
-sums and tables never key a class's word again.
+r = [a1,b1]...[ag,bg].  The relator uses each of its 4g letters once, so a
+segment of at most 4g letters is a subword of a rotation of r^+-1 exactly when
+each letter is followed by its successor around r^+-1.  One left-to-right scan
+over the maximal successor runs of a word finds all of them; the two successor
+maps, O(g) per genus, are all the state kept.  Conjugacy classes are taken up
+to inversion, since the circles they grade are unoriented.  A class keeps its
+order key (length, then letter order) and its hash from when it is made, so
+sorting, grading sums and tables never key a class's word again.
 """
 
 from __future__ import annotations
@@ -149,40 +153,66 @@ def cyclic_reduce(w: Word) -> Word:
 # Dehn's algorithm for the genus-g relator [a1,b1]...[ag,bg]
 
 
-def _relator(genus: int) -> Word:
-    r: list[int] = []
-    for i in range(1, genus + 1):
-        a, b = 2 * i - 1, 2 * i
-        r.extend((a, b, -a, -b))
-    return tuple(r)
-
-
 @lru_cache(maxsize=None)
-def _dehn_tables(genus: int):
-    """Replacement tables for subwords of cyclic rotations of the relator.
-
-    A subword u of a rotation rho = u v of r or r^-1 equals v^-1 in the group.
-    ``long`` maps each u with len(u) > len(r)/2 to that shorter complement;
-    ``half`` maps the len(r)/2 subwords to their equal-length complements.
-    """
+def _successors(genus: int) -> tuple[dict[int, int], dict[int, int]]:
+    """The letter after each letter around r, and around r^-1: 4g entries each."""
     if genus < 2:
         raise ValueError("Dehn reduction needs genus >= 2")
-    r = _relator(genus)
-    n = len(r)
-    half = n // 2
-    long_repl: dict[Word, Word] = {}
-    half_repl: dict[Word, Word] = {}
-    for base in (r, invert_word(r)):
-        for rot in range(n):
-            rho = base[rot:] + base[:rot]
-            for length in range(half, n + 1):
-                u, v = rho[:length], rho[length:]
-                repl = invert_word(v)
-                if length == half:
-                    half_repl[u] = repl
-                else:
-                    long_repl[u] = repl
-    return long_repl, half_repl, n
+    r = tuple(x for i in range(1, genus + 1)
+              for x in (2 * i - 1, 2 * i, 1 - 2 * i, -2 * i))
+    return tuple(dict(zip(base, base[1:] + base[:1])) for base in (r, invert_word(r)))
+
+
+def _runs(w: Word, stop: int, genus: int):
+    """Maximal successor runs of w that start before ``stop``, left to right.
+
+    Yields (start, end, succ): every letter of w[start:end - 1] is followed by
+    its successor under succ, one of the two maps of ``_successors``, and the
+    run extends neither way.  No letter pair follows both maps, so two runs
+    share at most one letter.  A run of up to 4g letters is a subword of a
+    rotation of r or r^-1, and every such subword lies in one run.
+    """
+    maps = _successors(genus)
+    last = len(w) - 1
+    s = 0
+    while s < stop and s < last:
+        for succ in maps:
+            if succ.get(w[s]) == w[s + 1]:
+                e = s + 2
+                while e <= last and succ.get(w[e - 1]) == w[e]:
+                    e += 1
+                yield s, e, succ
+                s = e - 1
+                break
+        else:
+            s += 1
+
+
+def _complement(w: Word, i: int, length: int, succ: dict[int, int]) -> Word:
+    """v^-1 for the rotation u v of r^+-1 that starts with u = w[i:i + length]:
+    u v = 1, so u = v^-1.  v has 4g - length letters, read along succ on from
+    the last letter of u."""
+    x, rest = w[i + length - 1], []
+    for _ in range(len(succ) - length):
+        x = succ[x]
+        rest.append(-x)
+    return tuple(reversed(rest))
+
+
+def _longest_run(w: Word, stop: int, genus: int):
+    """(start, length, complement) of the leftmost longest run segment of w that
+    starts before ``stop``, longer than 2g and at most min(4g, stop); or None."""
+    cap = min(4 * genus, stop)
+    best, size = None, 2 * genus
+    for s, e, succ in _runs(w, stop, genus):
+        length = min(e - s, cap)
+        if length > size:
+            best, size = (s, succ), length
+            if size == cap:
+                break
+    if best is None:
+        return None
+    return best[0], size, _complement(w, best[0], size, best[1])
 
 
 def dehn_reduce(w: Word, genus: int) -> Word:
@@ -191,46 +221,19 @@ def dehn_reduce(w: Word, genus: int) -> Word:
     The result is empty iff w is trivial in the genus-g surface group.
     Length never increases.
     """
-    long_repl, _, rel_len = _dehn_tables(genus)
-    half = rel_len // 2
     w = free_reduce(w)
-    changed = True
-    while changed and w:
-        changed = False
-        m = len(w)
-        for length in range(min(rel_len, m), half, -1):
-            for i in range(m - length + 1):
-                seg = w[i : i + length]
-                if seg in long_repl:
-                    w = free_reduce(w[:i] + long_repl[seg] + w[i + length :])
-                    changed = True
-                    break
-            if changed:
-                break
+    while w and (hit := _longest_run(w, len(w), genus)):
+        i, length, repl = hit
+        w = free_reduce(w[:i] + repl + w[i + length :])
     return w
 
 
 def _cyclic_dehn_reduce(w: Word, genus: int) -> Word:
     """Dehn-reduce a cyclic word: replacements may wrap around the end."""
-    long_repl, _, rel_len = _dehn_tables(genus)
-    half = rel_len // 2
     w = cyclic_reduce(w)
-    changed = True
-    while changed and w:
-        changed = False
-        m = len(w)
-        dbl = w + w
-        for length in range(min(rel_len, m), half, -1):
-            for i in range(m):
-                seg = dbl[i : i + length]
-                if seg in long_repl:
-                    w = cyclic_reduce(
-                        free_reduce(long_repl[seg] + dbl[i + length : i + m])
-                    )
-                    changed = True
-                    break
-            if changed:
-                break
+    while w and (hit := _longest_run(dbl := w + w, len(w), genus)):
+        i, length, repl = hit
+        w = cyclic_reduce(repl + dbl[i + length : i + len(w)])
     return w
 
 
@@ -243,13 +246,13 @@ def _hyperbolic_class_word(w: Word, genus: int) -> Word:
     lexicographically least cyclic rotation over the whole set.  Any
     saturation step that shortens the word restarts from the shorter one.
     """
-    _, half_repl, rel_len = _dehn_tables(genus)
-    half = rel_len // 2
-    seeds = {_cyclic_dehn_reduce(w, genus), _cyclic_dehn_reduce(invert_word(w), genus)}
-    while True:
+    half = 2 * genus
+    seed: Word | None = w
+    while seed is not None:
+        queue = list({_cyclic_dehn_reduce(seed, genus),
+                      _cyclic_dehn_reduce(invert_word(seed), genus)})
         pool: set[Word] = set()
-        queue = list(seeds)
-        shorter: Word | None = None
+        seed = None
         while queue:
             u = queue.pop()
             if u in pool:
@@ -259,24 +262,18 @@ def _hyperbolic_class_word(w: Word, genus: int) -> Word:
             if m < half:
                 continue
             dbl = u + u
-            for i in range(m):
-                seg = dbl[i : i + half]
-                if seg not in half_repl:
-                    continue
-                v = cyclic_reduce(free_reduce(half_repl[seg] + dbl[i + half : i + m]))
+            starts = ((i, succ) for s, e, succ in _runs(dbl, m, genus)
+                      for i in range(s, min(e - half + 1, m)))
+            for i, succ in starts:
+                v = cyclic_reduce(_complement(dbl, i, half, succ)
+                                  + dbl[i + half : i + m])
                 if len(v) < m:
-                    shorter = v
+                    seed = v
                     break
                 if v not in pool:
                     queue.append(v)
-            if shorter is not None:
+            if seed is not None:
                 break
-        if shorter is None:
-            break
-        seeds = {
-            _cyclic_dehn_reduce(shorter, genus),
-            _cyclic_dehn_reduce(invert_word(shorter), genus),
-        }
     # the key of a rotation is the rotation of the key: key each word once
     return min(((m, ku[r:] + ku[:r]), u[r:] + u[:r])
                for u in pool for m, ku in (word_key(u),) for r in range(max(1, m)))[1]

@@ -2,15 +2,20 @@
 
 Everything here is written the dumb way on purpose: dict-of-tuples vector
 spaces, list-of-lists elimination, exhaustive searches.  No imports from
-hkhovanov internals beyond the Diagram data itself.
+hkhovanov internals beyond the Diagram data itself and the free-group
+reductions of words.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from hkhovanov.diagram import Diagram, HEAD, TAIL, crossing_sign
+from hkhovanov.words import cyclic_reduce, free_reduce, invert_word, word_key
+
+Word = tuple[int, ...]
 
 
 def naive_rank(rows: list[list[int]]) -> int:
@@ -62,6 +67,145 @@ def torus_class(word: tuple[int, ...]) -> tuple[int, int]:
     if (p, q) < (0, 0) or (p == 0 and q < 0) or (p < 0):
         p, q = -p, -q
     return (p, q)
+
+
+# ---------------------------------------------------------------------------
+# Dehn's algorithm for the genus-g relator [a1,b1]...[ag,bg], by lookup in
+# tables of every relator subword longer than half of it: O(g^3) letters
+
+
+def _relator(genus: int) -> Word:
+    r: list[int] = []
+    for i in range(1, genus + 1):
+        a, b = 2 * i - 1, 2 * i
+        r.extend((a, b, -a, -b))
+    return tuple(r)
+
+
+@lru_cache(maxsize=None)
+def _dehn_tables(genus: int):
+    """Replacement tables for subwords of cyclic rotations of the relator.
+
+    A subword u of a rotation rho = u v of r or r^-1 equals v^-1 in the group.
+    ``long`` maps each u with len(u) > len(r)/2 to that shorter complement;
+    ``half`` maps the len(r)/2 subwords to their equal-length complements.
+    """
+    if genus < 2:
+        raise ValueError("Dehn reduction needs genus >= 2")
+    r = _relator(genus)
+    n = len(r)
+    half = n // 2
+    long_repl: dict[Word, Word] = {}
+    half_repl: dict[Word, Word] = {}
+    for base in (r, invert_word(r)):
+        for rot in range(n):
+            rho = base[rot:] + base[:rot]
+            for length in range(half, n + 1):
+                u, v = rho[:length], rho[length:]
+                repl = invert_word(v)
+                if length == half:
+                    half_repl[u] = repl
+                else:
+                    long_repl[u] = repl
+    return long_repl, half_repl, n
+
+
+def table_dehn_reduce(w: Word, genus: int) -> Word:
+    """Shorten w by replacing any subword longer than half the relator.
+
+    The result is empty iff w is trivial in the genus-g surface group.
+    Length never increases.
+    """
+    long_repl, _, rel_len = _dehn_tables(genus)
+    half = rel_len // 2
+    w = free_reduce(w)
+    changed = True
+    while changed and w:
+        changed = False
+        m = len(w)
+        for length in range(min(rel_len, m), half, -1):
+            for i in range(m - length + 1):
+                seg = w[i : i + length]
+                if seg in long_repl:
+                    w = free_reduce(w[:i] + long_repl[seg] + w[i + length :])
+                    changed = True
+                    break
+            if changed:
+                break
+    return w
+
+
+def table_cyclic_dehn_reduce(w: Word, genus: int) -> Word:
+    """Dehn-reduce a cyclic word: replacements may wrap around the end."""
+    long_repl, _, rel_len = _dehn_tables(genus)
+    half = rel_len // 2
+    w = cyclic_reduce(w)
+    changed = True
+    while changed and w:
+        changed = False
+        m = len(w)
+        dbl = w + w
+        for length in range(min(rel_len, m), half, -1):
+            for i in range(m):
+                seg = dbl[i : i + length]
+                if seg in long_repl:
+                    w = cyclic_reduce(
+                        free_reduce(long_repl[seg] + dbl[i + length : i + m])
+                    )
+                    changed = True
+                    break
+            if changed:
+                break
+    return w
+
+
+def table_class_word(w: Word, genus: int) -> Word:
+    """Canonical cyclic word of the conjugacy class of w, up to inversion.
+
+    Dehn-and-cyclically reduce w and w^-1, saturate the resulting set under
+    replacements of subwords of length exactly half the relator (these
+    preserve length but can relate distinct minimal words), and take the
+    lexicographically least cyclic rotation over the whole set.  Any
+    saturation step that shortens the word restarts from the shorter one.
+    """
+    _, half_repl, rel_len = _dehn_tables(genus)
+    half = rel_len // 2
+    seeds = {table_cyclic_dehn_reduce(w, genus),
+             table_cyclic_dehn_reduce(invert_word(w), genus)}
+    while True:
+        pool: set[Word] = set()
+        queue = list(seeds)
+        shorter: Word | None = None
+        while queue:
+            u = queue.pop()
+            if u in pool:
+                continue
+            pool.add(u)
+            m = len(u)
+            if m < half:
+                continue
+            dbl = u + u
+            for i in range(m):
+                seg = dbl[i : i + half]
+                if seg not in half_repl:
+                    continue
+                v = cyclic_reduce(free_reduce(half_repl[seg] + dbl[i + half : i + m]))
+                if len(v) < m:
+                    shorter = v
+                    break
+                if v not in pool:
+                    queue.append(v)
+            if shorter is not None:
+                break
+        if shorter is None:
+            break
+        seeds = {
+            table_cyclic_dehn_reduce(shorter, genus),
+            table_cyclic_dehn_reduce(invert_word(shorter), genus),
+        }
+    # the key of a rotation is the rotation of the key: key each word once
+    return min(((m, ku[r:] + ku[:r]), u[r:] + u[:r])
+               for u in pool for m, ku in (word_key(u),) for r in range(max(1, m)))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,12 @@
 import collections
 import hashlib
 import json
+import os
 import pathlib
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -270,6 +274,39 @@ def test_broken_json_reports_the_line(tmp_path, capsys):
     code, _, err = run(capsys, "compute", bad)
     assert code == 2
     assert "error:" in err and "line 1" in err
+
+
+def test_deeply_nested_json_is_a_diagnostic(tmp_path, capsys):
+    # the JSON parser gives up with a RecursionError, which used to escape
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    for sub in ("compute", "verify-d2", "verify-moves", "dump-cube"):
+        code, out, err = run(capsys, sub, deep)
+        assert code == 2 and out == "", sub
+        assert err == f"error: {deep}: JSON nested too deeply to parse\n", sub
+
+
+def test_compute_at_genus_ten_thousand(tmp_path):
+    # Dehn reduction keeps O(g) state, so a large genus costs no more than its
+    # letters; tables of relator subwords took O(g^3) and ran out of memory.
+    # Each run gets a 1 GiB address-space cap so that such a regression fails
+    # here rather than straining the machine.
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for genus in (2, 10_000):
+        path = tmp_path / f"loop_g{genus}.json"
+        path.write_text(json.dumps({"genus": genus, "edges": [], "crossings": [],
+                                    "free_loops": ["a1 b1"]}))
+        proc = subprocess.run([sys.executable, "-m", "hkhovanov", "compute", str(path)],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src},
+                              preexec_fn=cap_memory)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-2000:]
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] == "i\tj\th\tdim\n0\t-1\t-1*[a1 b1]\t1\n0\t1\t1*[a1 b1]\t1\n"
 
 
 def test_schema_violations_are_diagnosed(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hkhovanov.diagram import (
     Diagram,
@@ -24,7 +25,7 @@ from hkhovanov.diagram import (
 )
 from hkhovanov.randgen import random_diagram
 
-from helpers import CORPUS_NAMES, corpus
+from helpers import CORPUS, CORPUS_NAMES, corpus
 from oracles import source_sink_exhaustive
 
 
@@ -220,3 +221,58 @@ def test_loading_matches_the_recorded_golden():
             if g["sha256"] and passes_only_over(diagram_from_json(doc))]
     # both the inconsistency rejection and the free-component rule are exercised
     assert rejected and free
+
+
+# JSON-shaped junk for the loader fuzz test: wrong types, out-of-range and
+# huge numbers, bad or out-of-genus words, and nested containers
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2, 8) | st.floats()
+    | st.text(max_size=4) | st.sampled_from(["a1 B2", "A", "b9", "a0", "a1x", " "]),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(
+        st.sampled_from(["id", "word", "slots", "genus", "edges"]), inner, max_size=3),
+    max_leaves=10)
+DELETE = object()
+
+
+def mutation_paths(doc):
+    """Where a mutation can land: genus, the lists, their entries, ids, words
+    and slots."""
+    out = [("genus",), ("edges",), ("crossings",), ("free_loops",)]
+    for k in range(len(doc["edges"])):
+        out += [("edges", k), ("edges", k, "id"), ("edges", k, "word")]
+    for k in range(len(doc["crossings"])):
+        out += [("crossings", k), ("crossings", k, "id"), ("crossings", k, "slots")]
+        out += [("crossings", k, "slots", s) for s in range(4)]
+    out += [("free_loops", k) for k in range(len(doc["free_loops"]))]
+    return out
+
+
+def mutate(doc, path, value):
+    """Set the entry at path to value, or delete it; a path that an earlier
+    mutation destroyed is left alone."""
+    *parents, key = path
+    try:
+        node = doc
+        for p in parents:
+            node = node[p]
+        if value is DELETE:
+            del node[key]
+        else:
+            node[key] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_loader_raises_only_value_errors_on_mutated_documents(data):
+    name = data.draw(st.sampled_from(["trefoil_g1", "genus2_loops", "torus_link2"]))
+    doc = json.loads((CORPUS / f"{name}.json").read_text())
+    paths = mutation_paths(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(paths))
+        mutate(doc, path, data.draw(JUNK | st.just(DELETE)))
+    try:
+        diagram_from_json(doc)
+    except ValueError:
+        pass

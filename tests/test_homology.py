@@ -13,7 +13,8 @@ from hkhovanov.homology import (
     poincare_report,
     render_h,
 )
-from hkhovanov.diagram import Diagram, reverse_orientation
+from hkhovanov.diagram import Diagram, mirror, reverse_orientation
+from hkhovanov.randgen import random_diagram_stream
 from hkhovanov.words import (
     Surface,
     ZERO_GRADING,
@@ -121,6 +122,16 @@ def test_reverse_orientation_preserves_tables():
         d = corpus(name)
         equal, why = compare(kh_h(reverse_orientation(d)), kh_h(d))
         assert equal, (name, why)
+
+
+def test_mirror_flips_the_gradings_on_random_diagrams():
+    # (i, j, h) -> (-i, -j, -h); 64 of these diagrams have genus >= 2, so
+    # their circle classes go through Dehn reduction
+    flip = lambda t: (-t[0], -t[1], grading_negate(t[2]))
+    stream = random_diagram_stream(5, 120, max_crossings=6, max_genus=3, max_word_len=4)
+    for k, d in enumerate(stream):
+        equal, why = compare(kh_h(d), kh_h(mirror(d)), remap=flip)
+        assert equal, (k, why)
 
 
 def test_compare_reports_first_difference():

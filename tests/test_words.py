@@ -3,12 +3,13 @@
 import doctest
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import hkhovanov.words
 from hkhovanov.cube import resolve
 from hkhovanov.randgen import random_diagram_stream
 from hkhovanov.words import (
+    _cyclic_dehn_reduce,
     ConjClass,
     GradingElem,
     Surface,
@@ -27,7 +28,13 @@ from hkhovanov.words import (
     word_to_str,
 )
 
-from oracles import torus_class
+from oracles import (
+    _relator,
+    table_class_word,
+    table_cyclic_dehn_reduce,
+    table_dehn_reduce,
+    torus_class,
+)
 
 
 def letters(genus):
@@ -130,6 +137,31 @@ def test_dehn_reduce_never_lengthens(w):
 @given(word_st(2, max_len=6))
 def test_dehn_reduce_kills_products_with_inverse(w):
     assert dehn_reduce(w + invert_word(w), 2) == ()
+
+
+@st.composite
+def spliced_words(draw):
+    """(genus, word) at genus 2-8, spliced from arcs of rotations of r^+-1
+    and random letters: plain random words rarely hold a relator subword of
+    half its length or more."""
+    genus = draw(st.integers(2, 8))
+    r = _relator(genus)
+    n = len(r)
+    arc = st.tuples(st.sampled_from((r, invert_word(r))), st.integers(0, n - 1),
+                    st.integers(1, n + 2))
+    pieces = draw(st.lists(st.one_of(
+        arc.map(lambda t: tuple(t[0][(t[1] + k) % n] for k in range(t[2]))),
+        word_st(genus, max_len=3)), max_size=5))
+    return genus, sum(pieces, ())
+
+
+@settings(max_examples=400)
+@given(spliced_words())
+def test_dehn_reduction_matches_the_subword_table_oracle(case):
+    genus, w = case
+    assert dehn_reduce(w, genus) == table_dehn_reduce(w, genus)
+    assert _cyclic_dehn_reduce(w, genus) == table_cyclic_dehn_reduce(w, genus)
+    assert Surface(genus).canonical_class(w).letters == table_class_word(w, genus)
 
 
 def test_surface_relator_is_trivial():
