@@ -462,16 +462,18 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True,
                 groups[cid] = groups.get(cid, 0) | (1 << t)
         state_groups.append(tuple(sorted(groups.items())))
 
-    # enumerate generators: positions[s][mask] = (slice id, column)
+    # enumerate generators: the generator with label mask `mask` in state s
+    # sits in slice state_sids[s][mask] at column state_cols[s][mask]
     slice_ids: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
     slice_keys: list[tuple[int, tuple[tuple[int, int], ...]]] = []
     dims: list[dict[int, int]] = []
-    positions: list[list[tuple[int, int]]] = []
+    state_sids: list[list[int]] = []
+    state_cols: list[list[int]] = []
     for s, res in enumerate(resolutions):
         gamma = res.n_circles
         beta = s.bit_count()
         groups = state_groups[s]
-        pos = []
+        sids, cols = [], []
         for mask in range(1 << gamma):
             key = (2 * mask.bit_count() - gamma + beta, _grading_key(groups, mask))
             sid = slice_ids.get(key)
@@ -482,8 +484,10 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True,
                 dims.append({})
             col = dims[sid].get(beta, 0)
             dims[sid][beta] = col + 1
-            pos.append((sid, col))
-        positions.append(pos)
+            sids.append(sid)
+            cols.append(col)
+        state_sids.append(sids)
+        state_cols.append(cols)
 
     # boundary rows by source degree, then slice id; the label images of a
     # (kind, indices, table) are made once per build
@@ -498,15 +502,16 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True,
             continue
         consumed, images = label_images(edge.kind, edge.indices, table)
         beta = s.bit_count()
-        rows, pos_s, pos_t = mats[beta], positions[s], positions[t]
+        rows, sids_s, cols_s = mats[beta], state_sids[s], state_cols[s]
+        sids_t, cols_t = state_sids[t], state_cols[t]
 
         # scat: source label mask -> target bits of the unchanged circles (the
         # consumed circles add none), filled in the same pass as the rows
         contrib = [0] * resolutions[s].n_circles
         for sp, tp in edge.unchanged:
             contrib[sp] = 1 << tp
-        scat = [0] * len(pos_s)
-        for mask, (sid, col) in enumerate(pos_s):
+        scat = [0] * len(sids_s)
+        for mask, sid in enumerate(sids_s):
             if mask:
                 low = mask & -mask
                 scat[mask] = scat[mask ^ low] | contrib[low.bit_length() - 1]
@@ -516,15 +521,17 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True,
             row = rows.get(sid)
             if row is None:
                 row = rows[sid] = [0] * dims[sid][beta]
+            col = cols_s[mask]
             for out in outs:
-                tsid, tcol = pos_t[scat[mask] | out]
+                tmask = scat[mask] | out
+                tsid = sids_t[tmask]
                 if tsid != sid:
                     (ja, ha), (jb, hb) = (_slice_key(slice_keys[x], dj, class_pool)
                                           for x in (sid, tsid))
                     raise RuntimeError(f"differential left its grading slice at state {s},"
                                        f" crossing {edge.crossing}: slice (j={ja}, h={ha})"
                                        f" -> (j={jb}, h={hb})")
-                row[col] |= 1 << tcol
+                row[col] |= 1 << cols_t[tmask]
 
     # package, applying the orientation shifts to the output gradings
     slices: dict[tuple[int, GradingElem], SliceComplex] = {}

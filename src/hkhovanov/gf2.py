@@ -1,7 +1,9 @@
 """Dense GF(2) matrices with rows bit-packed into python ints.
 
 Column j of a row is bit j.  Matrices are immutable after construction;
-rank uses leading-bit echelon reduction.
+rank uses leading-bit echelon reduction.  A row already in range is kept as
+the int it was given, so a matrix shares its rows with its builder instead of
+holding a second copy of each.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ class GF2Matrix:
         if len(rows) != nrows:
             raise ValueError("row count mismatch")
         mask = (1 << ncols) - 1
-        self.rows = [r & mask for r in rows]
+        self.rows = [r if 0 <= r <= mask else r & mask for r in rows]
 
     @classmethod
     def from_entries(cls, nrows: int, ncols: int, entries) -> "GF2Matrix":

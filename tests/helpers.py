@@ -1,10 +1,13 @@
 """Small shared utilities for the test suite."""
 
+import importlib.util
 from pathlib import Path
 
 from hkhovanov import load_diagram
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+SCRIPTS = ROOT / "scripts"
 
 CORPUS_NAMES = sorted(p.stem for p in CORPUS.glob("*.json"))
 
@@ -27,3 +30,10 @@ def ij(table):
     for (i, j, _), dim in table.entries.items():
         out[(i, j)] = out.get((i, j), 0) + dim
     return out
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -34,7 +34,7 @@ from hkhovanov.words import (
     grading_term,
 )
 
-from helpers import CORPUS_NAMES, corpus
+from helpers import CORPUS_NAMES, corpus, load_script
 
 SURF = Surface(1)
 A = SURF.canonical_class((1,))
@@ -340,6 +340,16 @@ def matrix_golden_records():
 def test_matrices_match_the_recorded_golden():
     # pins every boundary matrix bit for bit, not just the homology tables
     assert matrix_golden_records() == json.loads(MATRIX_GOLDEN.read_text())
+
+
+def test_fourteen_crossing_build_and_rank_peak_rss():
+    # 230,364 generators; the packaged matrices share the row ints the build
+    # made, where a second copy of every row would take the peak to ~467 MiB
+    # (the memory ladder's genus-0 classical n = 14 point, in a fresh child)
+    r = load_script("memory_ladder").measure(0, "classical", 14, None)
+    assert "error" not in r, r
+    assert r["generators"] == 230364
+    assert r["peak_mb"] < 360, f"peak rss {r['peak_mb']:.0f} MiB"
 
 
 def test_leaving_the_slice_names_the_site(monkeypatch):

@@ -71,9 +71,11 @@ def test_multiply_is_associative(seed, data):
 
 def test_multiply_agrees_with_entrywise_product():
     rng = random.Random(2)
-    for _ in range(30):
-        a = random_matrix(rng, rng.randrange(1, 9), rng.randrange(1, 9))
-        b = random_matrix(rng, a.ncols, rng.randrange(1, 9))
+    for trial in range(36):
+        # the last few span several machine words per row
+        size = 9 if trial < 30 else 90
+        a = random_matrix(rng, rng.randrange(1, size), rng.randrange(1, size))
+        b = random_matrix(rng, a.ncols, rng.randrange(1, size))
         prod = a.multiply(b)
         for i in range(a.nrows):
             for k in range(b.ncols):
@@ -88,14 +90,34 @@ def test_from_entries_xors_duplicates():
 
 def test_transpose_is_an_involution():
     rng = random.Random(3)
-    for _ in range(20):
-        m = random_matrix(rng, rng.randrange(0, 10), rng.randrange(0, 10))
-        assert m.transpose().transpose() == m
+    for trial in range(24):
+        size = 10 if trial < 20 else 90
+        m = random_matrix(rng, rng.randrange(0, size), rng.randrange(0, size))
+        t = m.transpose()
+        assert to_lists(t) == [[m.get(r, c) for r in range(m.nrows)]
+                               for c in range(m.ncols)]
+        assert t.transpose() == m
+
+
+def test_in_range_rows_are_kept_without_a_copy():
+    rng = random.Random(4)
+    for ncols in (0, 1, 63, 64, 65, 300):
+        rows = [0, (1 << ncols) - 1] + [rng.getrandbits(ncols) for _ in range(5)]
+        m = GF2Matrix(len(rows), ncols, rows)
+        assert all(m.rows[i] is rows[i] for i in range(len(rows)))
 
 
 def test_row_masking_and_validation():
     m = GF2Matrix(1, 2, [0b111])
     assert m.rows == [0b11]
+    # out-of-range and negative rows keep their low ncols bits
+    rng = random.Random(5)
+    for ncols in (0, 1, 2, 63, 64, 65, 300):
+        mask = (1 << ncols) - 1
+        rows = [-1, -(1 << 400), 1 << ncols, -rng.getrandbits(350),
+                rng.getrandbits(350), (1 << 500) | rng.getrandbits(ncols)]
+        assert GF2Matrix(len(rows), ncols, rows).rows == [r & mask for r in rows]
+    assert GF2Matrix(2, 3, [-1, 0b1010]).rows == [0b111, 0b010]
     with pytest.raises(ValueError, match="row count"):
         GF2Matrix(2, 2, [0])
     with pytest.raises(ValueError, match="nonnegative"):

@@ -1,23 +1,12 @@
-"""Smoke tests for scripts/: corpus regeneration, the fuzz driver, the search."""
+"""Smoke tests for scripts/: corpus regeneration, the fuzz driver, the search
+and the memory ladder."""
 
-import importlib.util
 import json
 import subprocess
 import sys
-from pathlib import Path
-
 from hkhovanov.diagram import diagram_to_json, validate
 
-from helpers import CORPUS, CORPUS_NAMES
-
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import CORPUS, CORPUS_NAMES, SCRIPTS, load_script
 
 
 def test_make_corpus_reproduces_every_corpus_file():
@@ -41,3 +30,20 @@ def test_search_torus_link_imports():
     # import only: main() runs the whole search
     module = load_script("search_torus_link")
     assert callable(module.main)
+
+
+def test_memory_ladder_runs():
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "memory_ladder.py"),
+                           "--min", "5", "--max", "6", "--cap-mb", "4096"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    rows = [line.split("\t") for line in lines[1:7]]
+    assert [(r[0], r[1], r[2], r[3]) for r in rows] == [
+        (g, f, n, gens) for g, f in (("0", "classical"), ("1", "homotopical"),
+                                     ("2", "homotopical"))
+        for n, gens in (("5", "198"), ("6", "372"))]
+    assert all(float(r[6]) < 200 for r in rows)
+    assert lines[7:] == [f"largest n under 2048 MiB: genus {g} {f}: 6"
+                         for g, f in (("0", "classical"), ("1", "homotopical"),
+                                      ("2", "homotopical"))]
