@@ -10,6 +10,7 @@ embedded in a higher genus surface in an interesting way.
 from __future__ import annotations
 
 from .diagram import Diagram, HEAD, TAIL
+from .moves import _splice
 from .words import parse_word
 
 
@@ -46,23 +47,9 @@ def braid_closure(letters: list[int], strands: int, genus: int = 0,
                               (b, TAIL)))
         cur[k - 1], cur[k] = a, b
 
-    words = {e: () for e in range(next_id)}
-    alias: dict[int, int] = {}
-    drop: set[int] = set()
-    free_loops = []
+    words = [()] * next_id
     for p in range(strands):
-        w = parse_word(closure_words[p], genus)
-        if cur[p] == first[p]:
-            free_loops.append(w)
-            drop.add(first[p])
-        else:
-            words[cur[p]] = w  # the closure arc carries the word
-            alias[first[p]] = cur[p]
-            drop.add(first[p])
-    keep = [e for e in range(next_id) if e not in drop]
-    renum = {e: n for n, e in enumerate(keep)}
-    new_crossings = tuple(
-        tuple((renum[alias.get(e, e)], end) for e, end in slots)
-        for slots in crossings)
-    edge_words = tuple(words[e] for e in keep)
-    return Diagram(genus, edge_words, new_crossings, tuple(free_loops))
+        words[first[p]] = parse_word(closure_words[p], genus)
+    # each strand's last arc feeds its first, which carries the closure word
+    open_braid = Diagram(genus, tuple(words), tuple(crossings), ())
+    return _splice(open_braid, set(), set(), {cur[p]: first[p] for p in range(strands)})

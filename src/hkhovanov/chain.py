@@ -167,31 +167,25 @@ def merge_matrix(table: str, p: int, pos: int) -> GF2Matrix:
     """The merge table applied to factors (pos, pos+1) of a p-fold power, identity elsewhere."""
     if not 0 <= pos <= p - 2:
         raise ValueError("merge position out of range")
-    tab = MERGE_TABLES[table]
-    entries = []
-    low = (1 << pos) - 1
-    for mask in range(1 << p):
-        x = (mask >> pos) & 1
-        y = (mask >> (pos + 1)) & 1
-        rest = (mask & low) | ((mask >> (pos + 2)) << (pos + 1))
-        for out in tab[(x, y)]:
-            entries.append((mask, rest | (out << pos)))
-    return GF2Matrix.from_entries(1 << p, 1 << (p - 1), entries)
+    return _on_factors(p, pos, 2, 1, _label_images("merge", (pos, pos + 1, pos), table))
 
 
 def split_matrix(table: str, p: int, pos: int) -> GF2Matrix:
     """The split table applied to factor pos of a p-fold power, identity elsewhere."""
     if not 0 <= pos <= p - 1:
         raise ValueError("split position out of range")
-    tab = SPLIT_TABLES[table]
-    entries = []
+    return _on_factors(p, pos, 1, 2, _label_images("split", (pos, pos, pos + 1), table))
+
+
+def _on_factors(p: int, pos: int, n_in: int, n_out: int,
+                label_images: tuple[int, dict[int, tuple[int, ...]]]) -> GF2Matrix:
+    """The label images the build scatters, on n_in factors at pos of a p-fold
+    power turning into n_out factors; the other factors keep their order."""
+    consumed, images = label_images
     low = (1 << pos) - 1
-    for mask in range(1 << p):
-        x = (mask >> pos) & 1
-        rest = (mask & low) | ((mask >> pos >> 1) << (pos + 2))
-        for o1, o2 in tab[x]:
-            entries.append((mask, rest | (o1 << pos) | (o2 << (pos + 1))))
-    return GF2Matrix.from_entries(1 << p, 1 << (p + 1), entries)
+    entries = [(mask, (mask & low) | (mask >> (pos + n_in) << (pos + n_out)) | out)
+               for mask in range(1 << p) for out in images[mask & consumed]]
+    return GF2Matrix.from_entries(1 << p, 1 << (p - n_in + n_out), entries)
 
 
 Op = tuple[str, str, int]  # ("merge"|"split", table, position)
@@ -383,9 +377,6 @@ class SliceComplex:
 class ChainComplex:
     genus: int
     flavor: str
-    n_plus: int
-    n_minus: int
-    shifted: bool
     slices: dict[tuple[int, GradingElem], SliceComplex]
 
     def total_dim(self) -> int:
@@ -543,7 +534,7 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True,
             if rows is not None:
                 smats[beta + di] = GF2Matrix(cnt, dims[sid].get(beta + 1, 0), rows)
         slices[_slice_key(key, dj, class_pool)] = SliceComplex(sdims, smats)
-    return ChainComplex(d.genus, flavor, n_plus, n_minus, shift, slices)
+    return ChainComplex(d.genus, flavor, slices)
 
 
 def differential_squares_to_zero(cx: ChainComplex) -> bool:

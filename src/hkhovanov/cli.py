@@ -19,8 +19,8 @@ import sys
 
 from .chain import build_complex, differential_squares_to_zero, edge_table, verify_table1
 from .cube import circle_classes, iter_edges, resolve
-from .diagram import Diagram, diagram_from_json, validate
-from .homology import compare, kh_classical, kh_h, poincare_report
+from .diagram import Diagram, diagram_from_json
+from .homology import compare, homology_table, poincare_report
 from .moves import MoveSpec, apply_move, r1_add_sites, r1_remove_sites, \
     r2_add_sites, r2_remove_sites
 from .randgen import random_diagram_stream
@@ -43,16 +43,7 @@ def _load(path: str) -> tuple[Diagram, str]:
         d = diagram_from_json(obj)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    problems = validate(d)
-    if problems:
-        raise ValueError(f"{path}: " + "; ".join(problems))
     return d, digest
-
-
-def _table(d: Diagram, flavor: str, shift: bool = True):
-    if flavor == "classical":
-        return kh_classical(d, shift=shift)
-    return kh_h(d, shift=shift)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +108,7 @@ def spec_to_str(spec: MoveSpec) -> str:
 
 def cmd_compute(args) -> int:
     d, digest = _load(args.input)
-    table = _table(d, args.flavor, shift=not args.no_shift)
+    table = homology_table(build_complex(d, args.flavor, shift=not args.no_shift))
     sys.stdout.write(poincare_report(table, args.format,
                                      meta={"diagram": digest}))
     return 0
@@ -147,7 +138,7 @@ def cmd_verify_d2(args) -> int:
 
 def cmd_verify_moves(args) -> int:
     d, _ = _load(args.input)
-    base = _table(d, args.flavor)
+    base = homology_table(build_complex(d, args.flavor))
     if args.moves:
         specs = parse_moves(args.moves)
         sequential = True
@@ -164,7 +155,7 @@ def cmd_verify_moves(args) -> int:
         moved = apply_move(cur if sequential else d, spec)
         if sequential:
             cur = moved
-        same, diff = compare(base, _table(moved, args.flavor))
+        same, diff = compare(base, homology_table(build_complex(moved, args.flavor)))
         ok = ok and same
         print(f"{spec_to_str(spec)}: " +
               ("tables agree" if same else f"MISMATCH at {diff}"))

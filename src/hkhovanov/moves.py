@@ -152,8 +152,7 @@ def r1_remove(d: Diagram, c: int) -> Diagram:
     if found is None:
         raise ValueError(f"pattern-mismatch: crossing {c} is not a clean kink")
     kink, u, v = found
-    return _splice(d, {c}, {kink}, {} if u == v else {u: v},
-                   cycles=[(u,)] if u == v else [])
+    return _splice(d, {c}, {kink}, {u: v})
 
 
 # ---------------------------------------------------------------------------
@@ -228,22 +227,7 @@ def r2_remove(d: Diagram, c1: int, c2: int) -> Diagram:
         raise ValueError(
             f"pattern-mismatch: crossings {c1},{c2} do not bound a removable poke")
     mu, mo, (u_a, u_b), (o_a, o_b) = found
-    succ = {}
-    cycles = []
-    if u_a == u_b and o_a == o_b:
-        cycles = [(u_a,), (o_a,)]
-    elif u_a == u_b:
-        cycles = [(u_a,)]
-        succ[o_a] = o_b
-    elif o_a == o_b:
-        cycles = [(o_a,)]
-        succ[u_a] = u_b
-    elif u_a == o_b and o_a == u_b:
-        cycles = [(u_a, o_a)]  # the two outer arcs close up into one loop
-    else:
-        succ[u_a] = u_b
-        succ[o_a] = o_b
-    return _splice(d, {c1, c2}, {mu, mo}, succ, cycles)
+    return _splice(d, {c1, c2}, {mu, mo}, {u_a: u_b, o_a: o_b})
 
 
 # ---------------------------------------------------------------------------
@@ -304,53 +288,48 @@ def r3(d: Diagram, ta: int, tb: int, tc: int) -> Diagram:
 
 
 # ---------------------------------------------------------------------------
-# splicing out removed crossings
+# joining arcs end to end: removed kinks and pokes, braid closures
 
 
 def _splice(d: Diagram, dead_crossings: set[int], dead_edges: set[int],
-            succ: dict[int, int], cycles: list[tuple[int, ...]]) -> Diagram:
-    """Rebuild after deleting crossings/arcs.
+            succ: dict[int, int]) -> Diagram:
+    """Rebuild after deleting crossings/arcs, joining arcs end to end.
 
-    succ maps an arc to the arc its head now feeds (chains concatenate into
-    one edge); cycles are arc tuples that close up into free loops.
+    succ maps an arc to the arc its head now feeds.  Each chain of succ
+    concatenates into one edge named by its first arc; a chain that comes
+    back to its start becomes a free loop, read from its least arc and
+    appended in the order succ lists it.
     """
+    words = list(d.edge_words)
+    loops = list(d.free_loops)
     alias: dict[int, int] = {}
-    merged_words: dict[int, Word] = {}
-    consumed: set[int] = set()
-    starts = [e for e in sorted(succ) if e not in succ.values()]
-    for start in starts:
-        chain = [start]
-        while chain[-1] in succ:
-            chain.append(succ[chain[-1]])
-        word: Word = ()
-        for e in chain:
-            alias[e] = start
-            word += d.edge_words[e]
-            if e != start:
-                consumed.add(e)
-        merged_words[start] = word
-    new_loops = list(d.free_loops)
-    for cyc in cycles:
-        word = ()
-        for e in cyc:
-            consumed.add(e)
-        start = min(cyc)
-        k = cyc.index(start)
-        for e in cyc[k:] + cyc[:k]:
-            word += d.edge_words[e]
-        new_loops.append(word)
-
-    keep = [e for e in range(len(d.edge_words))
-            if e not in dead_edges and e not in consumed]
-    renum = {e: n for n, e in enumerate(keep)}
-    words = tuple(merged_words.get(e, d.edge_words[e]) for e in keep)
-    crossings = []
-    for c, slots in enumerate(d.crossings):
-        if c in dead_crossings:
+    gone = set(dead_edges)
+    heads = set(succ.values())
+    for start in [e for e in succ if e not in heads] + list(succ):
+        if start in alias:
             continue
-        crossings.append(tuple(
-            (renum[alias.get(e, e)], end) for e, end in slots))
-    return Diagram(d.genus, words, tuple(crossings), tuple(new_loops))
+        chain = [start]
+        while chain[-1] in succ and succ[chain[-1]] != start:
+            chain.append(succ[chain[-1]])
+        closed = chain[-1] in succ
+        if closed:
+            k = chain.index(min(chain))
+            chain = chain[k:] + chain[:k]
+        word = sum((d.edge_words[e] for e in chain), ())
+        for e in chain:
+            alias[e] = chain[0]
+        if closed:
+            loops.append(word)
+            gone.update(chain)
+        else:
+            words[chain[0]] = word
+            gone.update(chain[1:])
+
+    keep = [e for e in range(len(words)) if e not in gone]
+    renum = {e: n for n, e in enumerate(keep)}
+    crossings = tuple(tuple((renum[alias.get(e, e)], end) for e, end in slots)
+                      for c, slots in enumerate(d.crossings) if c not in dead_crossings)
+    return Diagram(d.genus, tuple(words[e] for e in keep), crossings, tuple(loops))
 
 
 # ---------------------------------------------------------------------------

@@ -188,8 +188,10 @@ def load_record(doc):
     problems = validate_json(doc)
     if problems:
         return {"problems": problems, "sha256": None}
-    text = repr(diagram_from_json(doc))
-    return {"problems": [], "sha256": hashlib.sha256(text.encode()).hexdigest()}
+    d = diagram_from_json(doc)
+    # the loader's one validation pass leaves nothing for validate to find
+    assert validate(d) == []
+    return {"problems": [], "sha256": hashlib.sha256(repr(d).encode()).hexdigest()}
 
 
 def passes_only_over(d):
@@ -273,6 +275,7 @@ def test_loader_raises_only_value_errors_on_mutated_documents(data):
         path = data.draw(st.sampled_from(paths))
         mutate(doc, path, data.draw(JUNK | st.just(DELETE)))
     try:
-        diagram_from_json(doc)
+        d = diagram_from_json(doc)
     except ValueError:
-        pass
+        return
+    assert validate(d) == []

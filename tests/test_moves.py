@@ -1,8 +1,11 @@
 """Local moves: detection, application, rejection, and table invariance."""
 
+import collections
 import hashlib
+import itertools
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -24,6 +27,7 @@ from hkhovanov.moves import (
     r2_remove_sites,
     r3,
 )
+from hkhovanov.randgen import random_diagram
 from hkhovanov.words import parse_word
 
 from helpers import CORPUS_NAMES, corpus
@@ -206,3 +210,77 @@ def test_add_moves_match_the_recorded_golden():
     got = {name: add_moves_digest(corpus(name))
            for name in CORPUS_NAMES if name != "perf12_genus1"}
     assert got == golden
+
+
+# sha256 over repr of every removal result per input diagram (its own r1rm/r2rm
+# sites and those of each of its r1/r2 add results), and over repr of every
+# braid closure per strand count; recorded at commit 3960a58, before kink
+# removal, poke removal and braid closure shared one splice
+REMOVE_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "moves_remove.json"
+
+
+def removal_inputs():
+    inputs = {f"corpus/{name}": corpus(name)
+              for name in CORPUS_NAMES if name != "perf12_genus1"}
+    rng = random.Random(3)
+    for k in range(40):
+        n, genus, n_loops = rng.randint(1, 4), rng.randint(0, 2), rng.randint(0, 2)
+        inputs[f"random/{k}"] = random_diagram(rng, n, genus, 2, n_loops)
+    # a self-poke whose outer arcs both carry letters: removing it closes them
+    # into one loop, read from the least arc
+    kinked = r1_add(corpus("kink_minus"), edge=1)
+    words = (parse_word("a", 1), (), parse_word("b", 1), ())
+    inputs["self-poke"] = Diagram(1, words, kinked.crossings, ())
+    return inputs
+
+
+def removal_case(d, spec):
+    """Which arcs the removal at spec joins: open chains or closed loops."""
+    if spec.kind == "r1rm":
+        _, u, v = kink_at(d, spec.params["crossing"])
+        return "r1 loop" if u == v else "r1 open chain"
+    _, _, (u_a, u_b), (o_a, o_b) = bigon_at(d, *spec.params["crossings"])
+    if u_a == u_b and o_a == o_b:
+        return "r2 two loops"
+    if u_a == u_b:
+        return "r2 under loop"
+    if o_a == o_b:
+        return "r2 over loop"
+    if u_a == o_b and o_a == u_b:
+        return "r2 one 2-arc loop"
+    if u_a == o_b or o_a == u_b:
+        return "r2 one 3-arc chain"
+    return "r2 two chains"
+
+
+def removals_digest(d, cases):
+    h = hashlib.sha256()
+    for spec in r1_add_sites(d) + r2_add_sites(d) + [None]:
+        moved = d if spec is None else apply_move(d, spec)
+        for rm in r1_remove_sites(moved) + r2_remove_sites(moved):
+            h.update(repr(apply_move(moved, rm)).encode())
+            cases[removal_case(moved, rm)] += 1
+    return h.hexdigest()
+
+
+def closures_digest(strands):
+    gens = [v for k in range(1, strands) for v in (k, -k)]
+    h = hashlib.sha256()
+    for length in range(5):
+        for letters in itertools.product(gens, repeat=length):
+            for words in (None, ["a"] + [""] * (strands - 1),
+                          [""] * (strands - 1) + ["B"]):
+                h.update(repr(braid_closure(list(letters), strands, 1, words)).encode())
+    return h.hexdigest()
+
+
+def test_removals_and_closures_match_the_recorded_golden():
+    golden = json.loads(REMOVE_GOLDEN.read_text())
+    cases = collections.Counter()
+    got = {name: removals_digest(d, cases) for name, d in removal_inputs().items()}
+    got.update({f"closure/{s}": closures_digest(s) for s in range(1, 5)})
+    assert got == golden
+    # every way the outer arcs of a removed kink or poke can join occurs
+    assert set(cases) == {
+        "r1 open chain", "r1 loop", "r2 two chains", "r2 one 3-arc chain",
+        "r2 under loop", "r2 over loop", "r2 two loops", "r2 one 2-arc loop"}, cases
