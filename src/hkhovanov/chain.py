@@ -25,17 +25,10 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable
 
-from .cube import Circle, CubeEdge, Resolution, circle_classes, iter_edges, resolve
+from .cube import Circle, Resolution, circle_classes, edge_circles, resolve
 from .diagram import Diagram, crossing_signs
 from .gf2 import GF2Matrix
-from .words import (
-    ConjClass,
-    GradingElem,
-    ZERO_GRADING,
-    grading_add,
-    grading_term,
-    invert_word,
-)
+from .words import ConjClass, GradingElem, invert_word
 
 MINUS, PLUS = 0, 1
 
@@ -130,17 +123,18 @@ def _case(whole: ConjClass, a: ConjClass, b: ConjClass, what: str) -> str | None
     return suffix
 
 
-def edge_table(edge: CubeEdge, src: tuple[ConjClass, ...],
+def edge_table(kind: str, indices: tuple, src: tuple[ConjClass, ...],
                tgt: tuple[ConjClass, ...]) -> str | None:
-    """Table label of a cube edge from the circle classes of its two states.
+    """Table label of a cube edge (kind and indices as in ``CubeEdge``) from
+    the circle classes of its two states.
 
     None stands for the zero map, which every neutral edge carries.  With
     all classes trivial this is the classical "m" / "delta".
     """
-    if edge.kind == "neutral":
+    if kind == "neutral":
         return None
-    i, j, k = edge.indices
-    if edge.kind == "merge":
+    i, j, k = indices
+    if kind == "merge":
         return merge_case(src[i], src[j], tgt[k])
     return split_case(src[i], tgt[j], tgt[k])
 
@@ -481,48 +475,59 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True,
         state_cols.append(cols)
 
     # boundary rows by source degree, then slice id; the label images of a
-    # (kind, indices, table) are made once per build
+    # (kind, indices, table) are made once per build.  One pass per source
+    # state: classify its out-edges, then write each generator's row once.
     di = -n_minus if shift else 0
     dj = n_plus - 2 * n_minus if shift else 0
     mats: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
     label_images = cache(_label_images)
-    for edge in iter_edges(d, resolutions):
-        s, t = edge.source, edge.target
-        table = edge_table(edge, state_classes[s], state_classes[t])
-        if table is None:
-            continue
-        consumed, images = label_images(edge.kind, edge.indices, table)
-        beta = s.bit_count()
-        rows, sids_s, cols_s = mats[beta], state_sids[s], state_cols[s]
-        sids_t, cols_t = state_sids[t], state_cols[t]
-
-        # scat: source label mask -> target bits of the unchanged circles (the
-        # consumed circles add none), filled in the same pass as the rows
-        contrib = [0] * resolutions[s].n_circles
-        for sp, tp in edge.unchanged:
-            contrib[sp] = 1 << tp
-        scat = [0] * len(sids_s)
-        for mask, sid in enumerate(sids_s):
-            if mask:
-                low = mask & -mask
-                scat[mask] = scat[mask ^ low] | contrib[low.bit_length() - 1]
-            outs = images[mask & consumed]
-            if not outs:
+    for s, src in enumerate(resolutions):
+        classes_s, anchors = state_classes[s], src.anchors
+        out_edges = []
+        for c in range(n):
+            if (s >> c) & 1:
                 continue
-            row = rows.get(sid)
-            if row is None:
-                row = rows[sid] = [0] * dims[sid][beta]
-            col = cols_s[mask]
-            for out in outs:
-                tmask = scat[mask] | out
-                tsid = sids_t[tmask]
-                if tsid != sid:
-                    (ja, ha), (jb, hb) = (_slice_key(slice_keys[x], dj, class_pool)
-                                          for x in (sid, tsid))
-                    raise RuntimeError(f"differential left its grading slice at state {s},"
-                                       f" crossing {edge.crossing}: slice (j={ja}, h={ha})"
-                                       f" -> (j={jb}, h={hb})")
-                row[col] |= 1 << cols_t[tmask]
+            t = s | (1 << c)
+            tgt = resolutions[t]
+            kind, indices = edge_circles(d, src, tgt, c)
+            table = edge_table(kind, indices, classes_s, state_classes[t])
+            if table is None:
+                continue
+            consumed, images = label_images(kind, indices, table)
+            # scat: source label mask -> target bits of the untouched circles,
+            # each at the target position owning its anchor; the consumed
+            # circles add none
+            owner = tgt.owner
+            tbits = [1 << owner[a] for a in anchors]
+            tbits[indices[0]] = 0
+            if kind == "merge":
+                tbits[indices[1]] = 0
+            scat = [0]
+            for b in tbits:
+                scat += [x | b for x in scat]
+            out_edges.append((c, consumed, images, scat, state_sids[t], state_cols[t]))
+        if not out_edges:
+            continue
+        beta = s.bit_count()
+        rows, cols_s = mats[beta], state_cols[s]
+        for mask, sid in enumerate(state_sids[s]):
+            acc = 0
+            for c, consumed, images, scat, sids_t, cols_t in out_edges:
+                for out in images[mask & consumed]:
+                    tmask = scat[mask] | out
+                    tsid = sids_t[tmask]
+                    if tsid != sid:
+                        (ja, ha), (jb, hb) = (_slice_key(slice_keys[x], dj, class_pool)
+                                              for x in (sid, tsid))
+                        raise RuntimeError(f"differential left its grading slice at state"
+                                           f" {s}, crossing {c}: slice (j={ja}, h={ha})"
+                                           f" -> (j={jb}, h={hb})")
+                    acc |= 1 << cols_t[tmask]
+            if acc:
+                row = rows.get(sid)
+                if row is None:
+                    row = rows[sid] = [0] * dims[sid][beta]
+                row[cols_s[mask]] = acc
 
     # package, applying the orientation shifts to the output gradings
     slices: dict[tuple[int, GradingElem], SliceComplex] = {}
@@ -545,19 +550,3 @@ def differential_squares_to_zero(cx: ChainComplex) -> bool:
             if nxt is not None and not mat.multiply(nxt).is_zero():
                 return False
     return True
-
-
-def generator_gradings(d: Diagram, state: int, labels: tuple[int, ...],
-                       shift: bool = True) -> tuple[int, int, GradingElem]:
-    """Gradings of a single labelled state, mostly for tests and debugging."""
-    res = resolve(d, state)
-    if len(labels) != res.n_circles:
-        raise ValueError("one label per circle required")
-    n_plus, n_minus, _ = crossing_signs(d)
-    beta = state.bit_count()
-    i = beta - (n_minus if shift else 0)
-    j = sum(2 * x - 1 for x in labels) + beta + ((n_plus - 2 * n_minus) if shift else 0)
-    h = ZERO_GRADING
-    for cls, x in zip(circle_classes(d, res), labels):
-        h = grading_add(h, grading_term(cls, 2 * x - 1))
-    return i, j, h

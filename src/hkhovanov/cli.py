@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import pathlib
 import sys
 
@@ -193,7 +194,8 @@ def cmd_dump_cube(args) -> int:
         if edge.kind == "neutral":
             what = f"neutral {i} -> {k}, differential zero"
         else:
-            case = edge_table(edge, classes[edge.source], classes[edge.target]) or "zero"
+            case = edge_table(edge.kind, edge.indices, classes[edge.source],
+                              classes[edge.target]) or "zero"
             moved = f"{i},{j} -> {k}" if edge.kind == "merge" else f"{i} -> {j},{k}"
             what = f"{edge.kind} {moved}, case {case}"
         print(f"edge {bits(edge.source)} -> {bits(edge.target)}"
@@ -252,7 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: drop what is still buffered
+        # quietly (the SIGPIPE recipe of the Python docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

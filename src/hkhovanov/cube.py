@@ -16,7 +16,9 @@ crossing change, so the owner index at its slots tells the edge apart: a
 merge (two circles become one), a split, or neutral (one circle re-glues to
 one circle); neutral edges only occur when the diagram has no source-sink
 structure.  Every other circle keeps its darts and is matched to the target
-circle that owns its anchor.
+circle that owns its anchor.  That owner-slot decision is made in one place,
+``edge_circles``: ``classify_edge`` wraps it in a ``CubeEdge`` with the
+matched pairs, and ``chain.build_complex`` calls it directly.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ from dataclasses import dataclass
 from .diagram import Diagram
 from .words import ConjClass, Word, free_reduce
 
-__all__ = ["Circle", "Resolution", "CubeEdge", "resolve", "classify_edge", "iter_edges",
-           "cube_edges"]
+__all__ = ["Circle", "Resolution", "CubeEdge", "resolve", "edge_circles", "classify_edge",
+           "iter_edges", "cube_edges"]
 
 
 @dataclass(frozen=True, slots=True)
 class Circle:
-    """One smoothed component: its darts, traced word, and edge support.
+    """One smoothed component: its darts and traced word.
 
     Free loops carry no darts; ``loop`` is their index in the diagram.
     """
@@ -41,10 +43,6 @@ class Circle:
     darts: tuple[tuple[int, int], ...]
     word: Word
     loop: int | None = None
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(e for e, _ in self.darts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,23 +112,31 @@ class CubeEdge:
         return self.source | (1 << self.crossing)
 
 
-def classify_edge(d: Diagram, src: Resolution, tgt: Resolution) -> CubeEdge:
-    """Classify the cube edge from src to tgt, which 1-smoothes one more crossing."""
-    crossing = (src.state ^ tgt.state).bit_length() - 1
+def edge_circles(d: Diagram, src: Resolution, tgt: Resolution,
+                 crossing: int) -> tuple[str, tuple]:
+    """Kind and circle indices (see ``CubeEdge``) of the cube edge from src to
+    tgt, which 1-smoothes ``crossing``, read from the owner slots there."""
     # the 0-smoothing joins slots 0 and 1, the 1-smoothing slots 0 and 3
     (e0, _), (e1, _), (e2, _), _ = d.crossings[crossing]
     i, j = sorted((src.owner[e0], src.owner[e2]))
     k, m = sorted((tgt.owner[e0], tgt.owner[e1]))
     if i == j and k == m:
-        # a re-glued (neutral) circle keeps its support, so it is matched too
-        kind, indices, changed = "neutral", (i, None, k), ()
-    elif i == j:
-        kind, indices, changed = "split", (i, k, m), (i,)
-    elif k == m:
-        kind, indices, changed = "merge", (i, j, k), (i, j)
-    else:
-        raise RuntimeError(f"corrupted diagram: state {src.state:b} -> {tgt.state:b}"
-                           " changes 2 circles into 2")
+        return "neutral", (i, None, k)
+    if i == j:
+        return "split", (i, k, m)
+    if k == m:
+        return "merge", (i, j, k)
+    raise RuntimeError(f"corrupted diagram at state {src.state}, crossing {crossing}:"
+                       " 2 circles become 2")
+
+
+def classify_edge(d: Diagram, src: Resolution, tgt: Resolution) -> CubeEdge:
+    """Classify the cube edge from src to tgt, which 1-smoothes one more crossing."""
+    crossing = (src.state ^ tgt.state).bit_length() - 1
+    kind, indices = edge_circles(d, src, tgt, crossing)
+    # the consumed source circles; a re-glued (neutral) circle keeps its
+    # darts, so it is matched too
+    changed = indices[:2] if kind == "merge" else indices[:1] if kind == "split" else ()
     owner = tgt.owner
     pairs = tuple([(p, owner[a]) for p, a in enumerate(src.anchors) if p not in changed])
     return CubeEdge(src.state, crossing, kind, indices, pairs)

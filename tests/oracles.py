@@ -3,7 +3,8 @@
 Everything here is written the dumb way on purpose: dict-of-tuples vector
 spaces, list-of-lists elimination, exhaustive searches.  No imports from
 hkhovanov internals beyond the Diagram data itself and the free-group
-reductions of words.
+reductions of words, except in the last section: test-only readings of the
+package's own resolutions, which are not independent checks.
 """
 
 from __future__ import annotations
@@ -12,8 +13,18 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from hkhovanov.diagram import Diagram, HEAD, TAIL, crossing_sign
-from hkhovanov.words import cyclic_reduce, free_reduce, invert_word, word_key
+from hkhovanov.cube import Circle, circle_classes, resolve
+from hkhovanov.diagram import Diagram, HEAD, TAIL, crossing_sign, crossing_signs
+from hkhovanov.words import (
+    ZERO_GRADING,
+    GradingElem,
+    cyclic_reduce,
+    free_reduce,
+    grading_add,
+    grading_term,
+    invert_word,
+    word_key,
+)
 
 Word = tuple[int, ...]
 
@@ -445,3 +456,28 @@ def source_sink_exhaustive(d: Diagram) -> bool:
         if ok:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# test-only readings of the package's resolutions (not independent)
+
+
+def support(circle: Circle) -> frozenset[int]:
+    """The edges a circle runs through."""
+    return frozenset(e for e, _ in circle.darts)
+
+
+def generator_gradings(d: Diagram, state: int, labels: tuple[int, ...],
+                       shift: bool = True) -> tuple[int, int, GradingElem]:
+    """Gradings (i, j, h) of a single labelled state."""
+    res = resolve(d, state)
+    if len(labels) != res.n_circles:
+        raise ValueError("one label per circle required")
+    n_plus, n_minus, _ = crossing_signs(d)
+    beta = state.bit_count()
+    i = beta - (n_minus if shift else 0)
+    j = sum(2 * x - 1 for x in labels) + beta + ((n_plus - 2 * n_minus) if shift else 0)
+    h = ZERO_GRADING
+    for cls, x in zip(circle_classes(d, res), labels):
+        h = grading_add(h, grading_term(cls, 2 * x - 1))
+    return i, j, h

@@ -14,7 +14,6 @@ from hkhovanov.chain import (
     SPLIT_TABLES,
     build_complex,
     differential_squares_to_zero,
-    generator_gradings,
     merge_matrix,
     split_matrix,
     verify_table1,
@@ -41,7 +40,7 @@ from hkhovanov.words import (
 )
 
 from helpers import CORPUS_NAMES, corpus, ij, load_script
-from oracles import TREFOIL_RH_GF2, classical_khovanov
+from oracles import TREFOIL_RH_GF2, classical_khovanov, generator_gradings
 
 F = frozenset
 

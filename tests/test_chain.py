@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from hkhovanov import chain, cube
 from hkhovanov.chain import (
     MERGE_TABLES,
     MINUS,
@@ -16,7 +17,6 @@ from hkhovanov.chain import (
     build_complex,
     compose_ops,
     differential_squares_to_zero,
-    generator_gradings,
     merge_case,
     merge_matrix,
     split_case,
@@ -35,6 +35,7 @@ from hkhovanov.words import (
 )
 
 from helpers import CORPUS_NAMES, corpus, load_script
+from oracles import generator_gradings
 
 SURF = Surface(1)
 A = SURF.canonical_class((1,))
@@ -350,6 +351,30 @@ def test_fourteen_crossing_build_and_rank_peak_rss():
     assert "error" not in r, r
     assert r["generators"] == 230364
     assert r["peak_mb"] < 360, f"peak rss {r['peak_mb']:.0f} MiB"
+
+
+def test_build_traces_each_state_once_and_classifies_from_owner_slots(monkeypatch):
+    # one pass per source state: no CubeEdge per cube edge, one owner-slot
+    # decision per cube edge
+    counts = collections.Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((chain, "resolve"), (chain, "edge_circles"),
+                         (cube, "classify_edge")):
+        count(module, name)
+    d = corpus("trefoil_g1")
+    n = d.n_crossings
+    for flavor in ("homotopical", "classical"):
+        counts.clear()
+        build_complex(d, flavor)
+        assert counts == {"resolve": 1 << n, "edge_circles": n << (n - 1)}
 
 
 def test_leaving_the_slice_names_the_site(monkeypatch):

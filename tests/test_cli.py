@@ -221,6 +221,20 @@ def test_dump_cube_infers_ends_once_and_traces_each_state_once(monkeypatch, caps
     assert counts == {"_infer_ends": 1, "resolve": 8}
 
 
+def test_a_reader_closing_stdout_early_is_not_an_input_error():
+    # `hkhovanov dump-cube ... | head -1`: the broken pipe exits 1 quietly
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "hkhovanov", "dump-cube",
+                             corpus_path("perf12_genus1")],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.readline().startswith(b"# diagram ")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert b"error:" not in err and b"Traceback" not in err, err
+
+
 # compute output recorded at commit 32d5d72, before class names and keys were
 # stored: random_diagram(Random(seed), n, genus, max_word_len=3, n_loops=1),
 # each table holding multi-term h (genus 1 adds the legend)

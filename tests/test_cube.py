@@ -1,16 +1,19 @@
 """State resolutions and cube edge classification."""
 
 import random
+from dataclasses import replace
 from functools import cached_property
 
-from hkhovanov import randgen
-from hkhovanov.cube import circle_classes, cube_edges, resolve
+import pytest
+
+from hkhovanov import chain, randgen
+from hkhovanov.cube import circle_classes, classify_edge, cube_edges, resolve
 from hkhovanov.chain import build_complex, merge_case, split_case
 from hkhovanov.diagram import Diagram
 from hkhovanov.randgen import random_diagram, random_diagram_stream
 
 from helpers import CORPUS_NAMES, SMALL_GENUS0, corpus
-from oracles import state_circles, trace_circles
+from oracles import state_circles, support, trace_circles
 
 
 def small_random_diagrams(count=30, max_crossings=4, max_genus=2, seed=7):
@@ -102,8 +105,8 @@ def test_supports_partition_the_edge_set():
             loops = [c for c in res.circles if c.loop is not None]
             union = frozenset()
             for c in traced:
-                assert not (union & c.support)
-                union |= c.support
+                assert not (union & support(c))
+                union |= support(c)
             assert union == all_edges
             assert [c.loop for c in loops] == list(range(len(d.free_loops)))
 
@@ -123,20 +126,20 @@ def test_cube_edge_bookkeeping():
             touched_src = set(range(src.n_circles))
             touched_tgt = set(range(tgt.n_circles))
             for a, b in e.unchanged:
-                assert src.circles[a].support == tgt.circles[b].support
+                assert support(src.circles[a]) == support(tgt.circles[b])
                 assert src.circles[a].loop == tgt.circles[b].loop
                 touched_src.discard(a)
                 touched_tgt.discard(b)
             if e.kind == "merge":
                 i, j, k = e.indices
                 assert touched_src == {i, j} and touched_tgt == {k}
-                assert src.circles[i].support | src.circles[j].support \
-                    == tgt.circles[k].support
+                assert support(src.circles[i]) | support(src.circles[j]) \
+                    == support(tgt.circles[k])
             elif e.kind == "split":
                 i, j, k = e.indices
                 assert touched_src == {i} and touched_tgt == {j, k}
-                assert src.circles[i].support \
-                    == tgt.circles[j].support | tgt.circles[k].support
+                assert support(src.circles[i]) \
+                    == support(tgt.circles[j]) | support(tgt.circles[k])
             else:
                 # the re-glued circle keeps its support, so it is also listed
                 # among the matched pairs; indices single it out
@@ -144,7 +147,32 @@ def test_cube_edge_bookkeeping():
                 assert none is None
                 assert touched_src == set() and touched_tgt == set()
                 assert dict(e.unchanged)[i] == k
-                assert src.circles[i].support == tgt.circles[k].support
+                assert support(src.circles[i]) == support(tgt.circles[k])
+
+
+def test_corrupted_owner_index_names_the_site(monkeypatch):
+    # state 3 of trefoil_rh puts edges 2..5 on circle 1; moving edge 5 to
+    # circle 0 makes the split at crossing 2 (state 3 -> 7) read as two
+    # circles turning into two
+    d = corpus("trefoil_rh")
+
+    def corrupted(diagram, state):
+        res = resolve(diagram, state)
+        if diagram is d and state == 3:
+            owner = list(res.owner)
+            owner[5] = 0
+            res = replace(res, owner=tuple(owner))
+        return res
+
+    message = "corrupted diagram at state 3, crossing 2: 2 circles become 2"
+    with pytest.raises(RuntimeError) as err:
+        classify_edge(d, corrupted(d, 3), resolve(d, 7))
+    assert str(err.value) == message
+    monkeypatch.setattr(chain, "resolve", corrupted)
+    for flavor in ("homotopical", "classical"):
+        with pytest.raises(RuntimeError) as err:
+            build_complex(d, flavor)
+        assert str(err.value) == message
 
 
 def test_dispatch_accepts_every_honest_edge():
