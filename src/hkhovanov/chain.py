@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable
 
-from .cube import Circle, Resolution, circle_classes, edge_circles, resolve
+from .cube import Resolution, circle_classes, edge_circles, resolve
 from .diagram import Diagram, crossing_signs
 from .gf2 import GF2Matrix
-from .words import ConjClass, GradingElem, invert_word
+from .words import ConjClass, GradingElem
 
 MINUS, PLUS = 0, 1
 
@@ -377,20 +377,6 @@ class ChainComplex:
         return sum(sum(sc.dims.values()) for sc in self.slices.values())
 
 
-def _transform_resolution(res: Resolution, reverse_circles: bool,
-                          invert_circle_words: bool) -> Resolution:
-    circles, owner, anchors = res.circles, res.owner, res.anchors
-    if invert_circle_words:
-        circles = tuple(Circle(c.darts, invert_word(c.word), c.loop) for c in circles)
-    if reverse_circles:
-        circles = tuple(reversed(circles))
-        owner = tuple(len(circles) - 1 - i for i in owner)
-        anchors = tuple(reversed(anchors))
-    if circles is res.circles:
-        return res
-    return Resolution(res.state, circles, owner, anchors)
-
-
 def _grading_key(nontrivial: tuple[tuple[int, int], ...],
                  mask: int) -> tuple[tuple[int, int], ...]:
     # nontrivial: (class id, bit mask of the circles in that class), precomputed
@@ -409,9 +395,7 @@ def _slice_key(key: tuple[int, tuple[tuple[int, int], ...]], dj: int,
     return j + dj, GradingElem(tuple((class_pool[cid], coeff) for cid, coeff in hkey))
 
 
-def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True,
-                  reverse_circles: bool = False,
-                  invert_circle_words: bool = False) -> ChainComplex:
+def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -> ChainComplex:
     """Assemble the graded boundary matrices of the resolution cube of d.
 
     The result is sliced by (quantum grading, class-weighted grading); the
@@ -424,10 +408,7 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True,
     n = d.n_crossings
     n_plus, n_minus, _ = crossing_signs(d)
 
-    resolutions: list[Resolution] = [
-        _transform_resolution(resolve(d, s), reverse_circles, invert_circle_words)
-        for s in range(1 << n)
-    ]
+    resolutions: list[Resolution] = [resolve(d, s) for s in range(1 << n)]
 
     # per-circle conjugacy classes (all trivial in the classical flavor); the
     # nontrivial ones get ids in class order, so slice keys come out sorted

@@ -13,38 +13,25 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import pathlib
 import sys
 
 from .chain import build_complex, differential_squares_to_zero, edge_table, verify_table1
-from .cube import circle_classes, iter_edges, resolve
-from .diagram import Diagram, diagram_from_json
+from .cube import circle_classes, edge_circles, resolve
+from .diagram import Diagram, parse_diagram
 from .homology import compare, homology_table, poincare_report
 from .moves import MoveSpec, apply_move, r1_add_sites, r1_remove_sites, \
     r2_add_sites, r2_remove_sites
 from .randgen import random_diagram_stream
 from .words import word_to_str
 
-MOVE_KINDS = ("r1+", "r1-", "r1rm", "r2", "r2rm", "r3")
 TUPLE_PARAMS = ("edges", "loops", "crossings", "splits")
 
 
 def _load(path: str) -> tuple[Diagram, str]:
     data = pathlib.Path(path).read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise ValueError(f"{path}: JSON nested too deeply to parse") from exc
-    try:
-        d = diagram_from_json(obj)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return d, digest
+    return parse_diagram(data, path), hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +53,6 @@ def parse_moves(text: str) -> list[MoveSpec]:
                 moves.append(_make_spec(kind, params))
             kind, seg = seg.split(":", 1)
             params, last_key = {}, None
-            if kind not in MOVE_KINDS:
-                raise ValueError(f"--moves: unknown move kind {kind!r}")
         if kind is None:
             raise ValueError(f"--moves: value {seg!r} before any move kind")
         if "=" in seg:
@@ -94,7 +79,10 @@ def _make_spec(kind: str, params: dict[str, list[int]]) -> MoveSpec:
             out[key] = vals[0]
         else:
             raise ValueError(f"--moves: parameter {key} takes one value")
-    return MoveSpec(kind, out)
+    try:
+        return MoveSpec(kind, out)
+    except ValueError as exc:
+        raise ValueError(f"--moves: {exc}") from exc
 
 
 def spec_to_str(spec: MoveSpec) -> str:
@@ -189,17 +177,20 @@ def cmd_dump_cube(args) -> int:
         descr = " ".join(f"[{name(c.word)}~{name(k.letters)}]"
                          for c, k in zip(res.circles, cls))
         print(f"state {bits(res.state)}: {len(res.circles)} circles: {descr}")
-    for edge in iter_edges(d, resolutions):
-        i, j, k = edge.indices
-        if edge.kind == "neutral":
-            what = f"neutral {i} -> {k}, differential zero"
-        else:
-            case = edge_table(edge.kind, edge.indices, classes[edge.source],
-                              classes[edge.target]) or "zero"
-            moved = f"{i},{j} -> {k}" if edge.kind == "merge" else f"{i} -> {j},{k}"
-            what = f"{edge.kind} {moved}, case {case}"
-        print(f"edge {bits(edge.source)} -> {bits(edge.target)}"
-              f" (crossing {edge.crossing}): {what}")
+    for s, src in enumerate(resolutions):
+        for c in range(n):
+            if (s >> c) & 1:
+                continue
+            t = s | (1 << c)
+            kind, indices = edge_circles(d, src, resolutions[t], c)
+            i, j, k = indices
+            if kind == "neutral":
+                what = f"neutral {i} -> {k}, differential zero"
+            else:
+                case = edge_table(kind, indices, classes[s], classes[t]) or "zero"
+                moved = f"{i},{j} -> {k}" if kind == "merge" else f"{i} -> {j},{k}"
+                what = f"{kind} {moved}, case {case}"
+            print(f"edge {bits(s)} -> {bits(t)} (crossing {c}): {what}")
     return 0
 
 

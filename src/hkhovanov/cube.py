@@ -17,20 +17,21 @@ merge (two circles become one), a split, or neutral (one circle re-glues to
 one circle); neutral edges only occur when the diagram has no source-sink
 structure.  Every other circle keeps its darts and is matched to the target
 circle that owns its anchor.  That owner-slot decision is made in one place,
-``edge_circles``: ``classify_edge`` wraps it in a ``CubeEdge`` with the
-matched pairs, and ``chain.build_complex`` calls it directly.
+``edge_circles``: ``chain.build_complex`` and the ``dump-cube`` command call
+it directly, walking each state's out-edges by crossing, and
+``classify_edge`` wraps it in a ``CubeEdge`` with the matched pairs for the
+tests and scripts.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .diagram import Diagram
 from .words import ConjClass, Word, free_reduce
 
 __all__ = ["Circle", "Resolution", "CubeEdge", "resolve", "edge_circles", "classify_edge",
-           "iter_edges", "cube_edges"]
+           "cube_edges"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,20 +143,12 @@ def classify_edge(d: Diagram, src: Resolution, tgt: Resolution) -> CubeEdge:
     return CubeEdge(src.state, crossing, kind, indices, pairs)
 
 
-def iter_edges(d: Diagram, resolutions: list[Resolution]) -> Iterator[CubeEdge]:
-    """Classify the cube edges one at a time, by source state then crossing.
-
-    ``resolutions`` holds the resolution of every state, indexed by state.
-    """
-    for s, src in enumerate(resolutions):
-        for c in range(d.n_crossings):
-            if not (s >> c) & 1:
-                yield classify_edge(d, src, resolutions[s | (1 << c)])
-
-
 def cube_edges(d: Diagram) -> list[CubeEdge]:
-    """All n * 2^(n-1) cube edges, classified."""
-    return list(iter_edges(d, [resolve(d, s) for s in range(1 << d.n_crossings)]))
+    """All n * 2^(n-1) cube edges, classified, by source state then crossing."""
+    resolutions = [resolve(d, s) for s in range(1 << d.n_crossings)]
+    return [classify_edge(d, src, resolutions[s | (1 << c)])
+            for s, src in enumerate(resolutions)
+            for c in range(d.n_crossings) if not (s >> c) & 1]
 
 
 def circle_classes(d: Diagram, res: Resolution) -> tuple[ConjClass, ...]:

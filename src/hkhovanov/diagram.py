@@ -20,6 +20,7 @@ in which the least edge of each component keeps its direction.
 from __future__ import annotations
 
 import json
+import pathlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,6 +33,7 @@ __all__ = [
     "validate_json",
     "diagram_from_json",
     "diagram_to_json",
+    "parse_diagram",
     "load_diagram",
     "validate",
     "crossing_sign",
@@ -257,9 +259,23 @@ def diagram_to_json(d: Diagram) -> dict:
     }
 
 
+def parse_diagram(data: bytes | str, source: str) -> Diagram:
+    """Build a Diagram from JSON text; every parse or schema failure is a
+    ValueError whose message starts with ``source``."""
+    try:
+        obj = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source}: line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{source}: JSON nested too deeply to parse") from exc
+    try:
+        return diagram_from_json(obj)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from exc
+
+
 def load_diagram(path: str) -> Diagram:
-    with open(path) as fh:
-        return diagram_from_json(json.load(fh))
+    return parse_diagram(pathlib.Path(path).read_bytes(), path)
 
 
 def validate(d: Diagram) -> list[str]:

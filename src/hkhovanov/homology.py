@@ -52,11 +52,8 @@ def homology_table(cx: ChainComplex) -> HomologyTable:
     return table
 
 
-def kh_h(d: Diagram, shift: bool = True, reverse_circles: bool = False,
-         invert_circle_words: bool = False) -> HomologyTable:
-    return homology_table(build_complex(
-        d, "homotopical", shift=shift, reverse_circles=reverse_circles,
-        invert_circle_words=invert_circle_words))
+def kh_h(d: Diagram, shift: bool = True) -> HomologyTable:
+    return homology_table(build_complex(d, "homotopical", shift=shift))
 
 
 def kh_classical(d: Diagram, shift: bool = True) -> HomologyTable:

@@ -19,10 +19,35 @@ from .diagram import Diagram, HEAD, SlotRef, TAIL, crossing_sign, validate
 from .words import Word
 
 
+# per move kind, the parameters it needs and those it may take; r2 names its
+# two strands by edges, by loops, or by an edge and a loop
+MOVE_PARAMS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "r1+": ((), ("edge", "loop", "split")),
+    "r1-": ((), ("edge", "loop", "split")),
+    "r1rm": (("crossing",), ()),
+    "r2": ((), ("edges", "loops", "edge", "loop", "splits", "over")),
+    "r2rm": (("crossings",), ()),
+    "r3": (("edges",), ()),
+}
+
+
 @dataclass(frozen=True)
 class MoveSpec:
-    kind: str  # "r1+" | "r1-" | "r1rm" | "r2" | "r2rm" | "r3"
+    kind: str  # a MOVE_PARAMS key
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.kind not in MOVE_PARAMS:
+            raise ValueError(f"unknown move kind {self.kind!r}")
+        need, may = MOVE_PARAMS[self.kind]
+        for key in self.params:
+            if key not in need and key not in may:
+                raise ValueError(f"{self.kind}: unknown parameter {key!r}")
+        if self.kind == "r2" and not {"edges", "loops"} & self.params.keys():
+            need = ("edge", "loop")
+        for key in need:
+            if key not in self.params:
+                raise ValueError(f"{self.kind}: missing parameter {key!r}")
 
 
 Strand = tuple[str, int]  # ("edge", id) or ("loop", index)
@@ -42,10 +67,8 @@ def apply_move(d: Diagram, spec: MoveSpec) -> Diagram:
     if spec.kind == "r2rm":
         c1, c2 = p["crossings"]
         return r2_remove(d, c1, c2)
-    if spec.kind == "r3":
-        ta, tb, tc = p["edges"]
-        return r3(d, ta, tb, tc)
-    raise ValueError(f"unknown move kind {spec.kind!r}")
+    ta, tb, tc = p["edges"]
+    return r3(d, ta, tb, tc)
 
 
 def _strand_pair(p: dict) -> tuple[Strand, Strand]:

@@ -31,13 +31,9 @@ __all__ = [
     "invert_word",
     "free_reduce",
     "cyclic_reduce",
-    "dehn_reduce",
     "ConjClass",
     "Surface",
     "GradingElem",
-    "grading_term",
-    "grading_add",
-    "grading_negate",
 ]
 
 Word = tuple[int, ...]
@@ -215,19 +211,6 @@ def _longest_run(w: Word, stop: int, genus: int):
     return best[0], size, _complement(w, best[0], size, best[1])
 
 
-def dehn_reduce(w: Word, genus: int) -> Word:
-    """Shorten w by replacing any subword longer than half the relator.
-
-    The result is empty iff w is trivial in the genus-g surface group.
-    Length never increases.
-    """
-    w = free_reduce(w)
-    while w and (hit := _longest_run(w, len(w), genus)):
-        i, length, repl = hit
-        w = free_reduce(w[:i] + repl + w[i + length :])
-    return w
-
-
 def _cyclic_dehn_reduce(w: Word, genus: int) -> Word:
     """Dehn-reduce a cyclic word: replacements may wrap around the end."""
     w = cyclic_reduce(w)
@@ -343,12 +326,7 @@ class Surface:
         self._interned: dict[Word, ConjClass] = {(): TRIVIAL_CLASS}
 
     def is_trivial(self, w: Word) -> bool:
-        check_word(w, self.genus)
-        if self.genus == 0:
-            return True
-        if self.genus == 1:
-            return _torus_exponents(w) == (0, 0)
-        return not dehn_reduce(w, self.genus)
+        return self.canonical_class(w).is_trivial
 
     def canonical_class(self, w: Word) -> ConjClass:
         w = tuple(w)
@@ -401,29 +379,3 @@ class GradingElem:
 
 
 ZERO_GRADING = GradingElem()
-
-
-def grading_term(cls: ConjClass, coeff: int) -> GradingElem:
-    """coeff * [cls]; the trivial class is the group identity."""
-    if cls.is_trivial or coeff == 0:
-        return ZERO_GRADING
-    return GradingElem(((cls, coeff),))
-
-
-def grading_add(x: GradingElem, y: GradingElem) -> GradingElem:
-    if not x.terms:
-        return y
-    if not y.terms:
-        return x
-    acc = dict(x.terms)
-    for cls, k in y.terms:
-        v = acc.get(cls, 0) + k
-        if v:
-            acc[cls] = v
-        else:
-            del acc[cls]
-    return GradingElem(tuple(sorted(acc.items(), key=lambda t: t[0].key)))
-
-
-def grading_negate(x: GradingElem) -> GradingElem:
-    return GradingElem(tuple((c, -k) for c, k in x.terms))

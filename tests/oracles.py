@@ -3,25 +3,27 @@
 Everything here is written the dumb way on purpose: dict-of-tuples vector
 spaces, list-of-lists elimination, exhaustive searches.  No imports from
 hkhovanov internals beyond the Diagram data itself and the free-group
-reductions of words, except in the last section: test-only readings of the
-package's own resolutions, which are not independent checks.
+reductions of words, except in the last section: test-only readings and
+rewritings of the package's own resolutions and gradings, which are not
+independent checks.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
-from hkhovanov.cube import Circle, circle_classes, resolve
+from hkhovanov import chain
+from hkhovanov.cube import Circle, Resolution, circle_classes, resolve
 from hkhovanov.diagram import Diagram, HEAD, TAIL, crossing_sign, crossing_signs
 from hkhovanov.words import (
     ZERO_GRADING,
+    ConjClass,
     GradingElem,
     cyclic_reduce,
     free_reduce,
-    grading_add,
-    grading_term,
     invert_word,
     word_key,
 )
@@ -459,12 +461,38 @@ def source_sink_exhaustive(d: Diagram) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# test-only readings of the package's resolutions (not independent)
+# test-only readings of the package's resolutions and gradings (not independent)
 
 
 def support(circle: Circle) -> frozenset[int]:
     """The edges a circle runs through."""
     return frozenset(e for e, _ in circle.darts)
+
+
+def grading_term(cls: ConjClass, coeff: int) -> GradingElem:
+    """coeff * [cls]; the trivial class is the group identity."""
+    if cls.is_trivial or coeff == 0:
+        return ZERO_GRADING
+    return GradingElem(((cls, coeff),))
+
+
+def grading_add(x: GradingElem, y: GradingElem) -> GradingElem:
+    if not x.terms:
+        return y
+    if not y.terms:
+        return x
+    acc = dict(x.terms)
+    for cls, k in y.terms:
+        v = acc.get(cls, 0) + k
+        if v:
+            acc[cls] = v
+        else:
+            del acc[cls]
+    return GradingElem(tuple(sorted(acc.items(), key=lambda t: t[0].key)))
+
+
+def grading_negate(x: GradingElem) -> GradingElem:
+    return GradingElem(tuple((c, -k) for c, k in x.terms))
 
 
 def generator_gradings(d: Diagram, state: int, labels: tuple[int, ...],
@@ -481,3 +509,35 @@ def generator_gradings(d: Diagram, state: int, labels: tuple[int, ...],
     for cls, x in zip(circle_classes(d, res), labels):
         h = grading_add(h, grading_term(cls, 2 * x - 1))
     return i, j, h
+
+
+def transform_resolution(res: Resolution, reverse_circles: bool,
+                         invert_circle_words: bool) -> Resolution:
+    """The same resolution with its circles listed in reverse order (owner
+    index and anchors renumbered to match) and/or every circle word read
+    backwards.  Neither changes a circle's free homotopy class up to
+    inversion, so neither may change a table."""
+    circles, owner, anchors = res.circles, res.owner, res.anchors
+    if invert_circle_words:
+        circles = tuple(Circle(c.darts, invert_word(c.word), c.loop) for c in circles)
+    if reverse_circles:
+        circles = tuple(reversed(circles))
+        owner = tuple(len(circles) - 1 - i for i in owner)
+        anchors = tuple(reversed(anchors))
+    return Resolution(res.state, circles, owner, anchors)
+
+
+@contextmanager
+def transformed_circles(reverse_circles: bool = False, invert_circle_words: bool = False):
+    """Within the block, ``build_complex`` (and so ``kh_h``) sees every
+    resolution through ``transform_resolution``."""
+    real = chain.resolve
+
+    def transformed(d: Diagram, state: int) -> Resolution:
+        return transform_resolution(real(d, state), reverse_circles, invert_circle_words)
+
+    chain.resolve = transformed
+    try:
+        yield
+    finally:
+        chain.resolve = real

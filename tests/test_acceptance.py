@@ -31,16 +31,17 @@ from hkhovanov.moves import (
     r3,
 )
 from hkhovanov.randgen import random_diagram_stream
-from hkhovanov.words import (
-    ZERO_GRADING,
-    Surface,
-    grading_negate,
-    grading_term,
-    parse_word,
-)
+from hkhovanov.words import ZERO_GRADING, Surface, parse_word
 
 from helpers import CORPUS_NAMES, corpus, ij, load_script
-from oracles import TREFOIL_RH_GF2, classical_khovanov, generator_gradings
+from oracles import (
+    TREFOIL_RH_GF2,
+    classical_khovanov,
+    generator_gradings,
+    grading_negate,
+    grading_term,
+    transformed_circles,
+)
 
 F = frozenset
 
@@ -211,7 +212,8 @@ def test_criterion_07_symmetries():
         d = corpus(name)
         base = kh_h(d)
         assert compare(base, kh_h(reverse_orientation(d)))[0], name
-        assert compare(base, kh_h(d, invert_circle_words=True))[0], name
+        with transformed_circles(invert_circle_words=True):
+            assert compare(base, kh_h(d))[0], name
         equal, witness = compare(base, kh_h(mirror(d)), remap=flip)
         assert equal, f"{name}: mirror table is not the flipped one at {witness}"
     done("criterion 7: orientation reversal and circle-word inversion fixed,"
@@ -254,7 +256,9 @@ def test_criterion_09_circle_ordering_equivariance():
         == split_matrix("delta2", 1, 0)
     for name in CORPUS_NAMES:
         d = corpus(name)
-        assert compare(kh_h(d), kh_h(d, reverse_circles=True))[0], name
+        base = kh_h(d)
+        with transformed_circles(reverse_circles=True):
+            assert compare(base, kh_h(d))[0], name
     done("criterion 9: reversed circle ordering leaves every corpus table"
          " unchanged", t0, 120.0)
 

@@ -26,16 +26,10 @@ from hkhovanov.chain import (
 from hkhovanov.cube import circle_classes, cube_edges, resolve
 from hkhovanov.gf2 import GF2Matrix
 from hkhovanov.randgen import random_diagram
-from hkhovanov.words import (
-    Surface,
-    TRIVIAL_CLASS,
-    ZERO_GRADING,
-    grading_add,
-    grading_term,
-)
+from hkhovanov.words import Surface, TRIVIAL_CLASS, ZERO_GRADING
 
 from helpers import CORPUS_NAMES, corpus, load_script
-from oracles import generator_gradings
+from oracles import generator_gradings, grading_add, grading_term, transformed_circles
 
 SURF = Surface(1)
 A = SURF.canonical_class((1,))
@@ -306,8 +300,9 @@ MATRIX_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "matrices.j
 
 
 def matrix_golden_inputs():
-    """(name, diagram, build options): the corpus, 20 seeded random diagrams
-    of genus 0-3 (most with free loops), and transformed builds of a few."""
+    """(name, diagram, circle transform): the corpus, 20 seeded random
+    diagrams of genus 0-3 (most with free loops), and builds of a few with
+    their circles reversed or their words inverted (``transformed_circles``)."""
     out = [(name, corpus(name), {}) for name in CORPUS_NAMES]
     rng = random.Random(21)
     randoms = []
@@ -333,9 +328,12 @@ def matrix_digest(cx) -> str:
 
 
 def matrix_golden_records():
-    return {f"{name} {flavor} {sorted(opts)}": matrix_digest(build_complex(d, flavor, **opts))
-            for name, d, opts in matrix_golden_inputs()
-            for flavor in ("homotopical", "classical")}
+    out = {}
+    for name, d, opts in matrix_golden_inputs():
+        for flavor in ("homotopical", "classical"):
+            with transformed_circles(**opts):
+                out[f"{name} {flavor} {sorted(opts)}"] = matrix_digest(build_complex(d, flavor))
+    return out
 
 
 def test_matrices_match_the_recorded_golden():

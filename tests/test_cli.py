@@ -111,6 +111,21 @@ def test_verify_moves_explicit_sequence(capsys):
     assert "all moves preserve the table" in out
 
 
+@pytest.mark.parametrize("moves, message", [
+    ("r1rm:", "r1rm: missing parameter 'crossing'"),
+    ("r2rm:", "r2rm: missing parameter 'crossings'"),
+    ("r3:", "r3: missing parameter 'edges'"),
+    ("r2:loop=0", "r2: missing parameter 'edge'"),
+    ("r1+:edge=0,foo=3", "r1+: unknown parameter 'foo'"),
+])
+def test_verify_moves_names_a_missing_or_unknown_parameter(moves, message, capsys):
+    # a missing parameter used to escape as a KeyError (exit 1, the code of a
+    # failed check) and an unknown one was ignored
+    code, out, err = run(capsys, "verify-moves", corpus_path("loop_a"), "--moves", moves)
+    assert code == 2 and out == ""
+    assert err == f"error: --moves: {message}\n"
+
+
 def test_verify_moves_default_site_enumeration(capsys):
     code, out, _ = run(capsys, "verify-moves", corpus_path("kink_plus"))
     assert code == 0

@@ -17,6 +17,7 @@ from hkhovanov.diagram import (
     diagram_from_json,
     diagram_to_json,
     has_source_sink,
+    load_diagram,
     mirror,
     reverse_orientation,
     source_sink_orientation,
@@ -86,6 +87,23 @@ def test_validate_json_reports_schema_violations():
 def test_diagram_from_json_raises_with_diagnostics():
     with pytest.raises(ValueError, match="invalid diagram"):
         diagram_from_json({"genus": 0, "edges": [{"id": 0, "word": ""}]})
+
+
+def test_load_diagram_raises_value_errors_naming_the_file(tmp_path):
+    # the parser's RecursionError on deep nesting used to escape the loader
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValueError) as err:
+        load_diagram(str(deep))
+    assert str(err.value) == f"{deep}: JSON nested too deeply to parse"
+    broken = tmp_path / "broken.json"
+    broken.write_text("{nonsense")
+    with pytest.raises(ValueError, match=r"broken\.json: line 1: "):
+        load_diagram(str(broken))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"genus": True}))
+    with pytest.raises(ValueError, match=r"bad\.json: invalid diagram: "):
+        load_diagram(str(bad))
 
 
 def test_validate_flags_structural_damage():

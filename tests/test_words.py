@@ -16,11 +16,7 @@ from hkhovanov.words import (
     TRIVIAL_CLASS,
     ZERO_GRADING,
     cyclic_reduce,
-    dehn_reduce,
     free_reduce,
-    grading_add,
-    grading_negate,
-    grading_term,
     invert_word,
     parse_word,
     torus_class_exponents,
@@ -30,6 +26,9 @@ from hkhovanov.words import (
 
 from oracles import (
     _relator,
+    grading_add,
+    grading_negate,
+    grading_term,
     table_class_word,
     table_cyclic_dehn_reduce,
     table_dehn_reduce,
@@ -129,16 +128,6 @@ def test_sphere_classes_all_trivial():
         surf.canonical_class((1,))
 
 
-@given(word_st(2, max_len=6))
-def test_dehn_reduce_never_lengthens(w):
-    assert len(dehn_reduce(w, 2)) <= len(free_reduce(w))
-
-
-@given(word_st(2, max_len=6))
-def test_dehn_reduce_kills_products_with_inverse(w):
-    assert dehn_reduce(w + invert_word(w), 2) == ()
-
-
 @st.composite
 def spliced_words(draw):
     """(genus, word) at genus 2-8, spliced from arcs of rotations of r^+-1
@@ -159,7 +148,7 @@ def spliced_words(draw):
 @given(spliced_words())
 def test_dehn_reduction_matches_the_subword_table_oracle(case):
     genus, w = case
-    assert dehn_reduce(w, genus) == table_dehn_reduce(w, genus)
+    assert Surface(genus).is_trivial(w) == (table_dehn_reduce(w, genus) == ())
     assert _cyclic_dehn_reduce(w, genus) == table_cyclic_dehn_reduce(w, genus)
     assert Surface(genus).canonical_class(w).letters == table_class_word(w, genus)
 
