@@ -13,9 +13,18 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from hkhovanov.chain import build_complex, differential_squares_to_zero
-from hkhovanov.cube import cube_edges
+from hkhovanov.cube import edge_circles, resolve
 from hkhovanov.diagram import diagram_to_json
 from hkhovanov.randgen import random_diagram_stream
+
+
+def has_neutral_edge(d) -> bool:
+    """Whether some cube edge of d keeps its circle count, read from the owner
+    slots like the build does."""
+    n = d.n_crossings
+    res = [resolve(d, s) for s in range(1 << n)]
+    return any(edge_circles(d, res[s], res[s | 1 << c], c)[0] == "neutral"
+               for s in range(1 << n) for c in range(n) if not (s >> c) & 1)
 
 
 def main() -> int:
@@ -31,7 +40,7 @@ def main() -> int:
     for k, d in enumerate(random_diagram_stream(
             args.seed, args.count, max_crossings=args.max_crossings,
             max_genus=args.max_genus)):
-        if any(e.kind == "neutral" for e in cube_edges(d)):
+        if has_neutral_edge(d):
             neutral_count += 1
         for flavor in ("homotopical", "classical"):
             cx = build_complex(d, flavor=flavor)

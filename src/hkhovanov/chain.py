@@ -428,42 +428,55 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
                 groups[cid] = groups.get(cid, 0) | (1 << t)
         state_groups.append(tuple(sorted(groups.items())))
 
-    # enumerate generators: the generator with label mask `mask` in state s
-    # sits in slice state_sids[s][mask] at column state_cols[s][mask]
+    # enumerate generators by state shape (γ, β, class groups), which fixes
+    # every mask's slice key.  The first state of a shape gives each mask its
+    # slice id (new ids in mask order) and its rank among the shape's masks
+    # in that slice; each state then takes a column base per slice from dims,
+    # so the generator (s, mask) sits at column state_bases[s][sid] + rank.
     slice_ids: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
     slice_keys: list[tuple[int, tuple[tuple[int, int], ...]]] = []
     dims: list[dict[int, int]] = []
-    state_sids: list[list[int]] = []
-    state_cols: list[list[int]] = []
+    shapes: dict[tuple, tuple[int, list[int], list[int], dict[int, int]]] = {}
+    state_shapes = []
+    state_bases: list[dict[int, int]] = []
     for s, res in enumerate(resolutions):
-        gamma = res.n_circles
-        beta = s.bit_count()
-        groups = state_groups[s]
-        sids, cols = [], []
-        for mask in range(1 << gamma):
-            key = (2 * mask.bit_count() - gamma + beta, _grading_key(groups, mask))
-            sid = slice_ids.get(key)
-            if sid is None:
-                sid = len(slice_keys)
-                slice_ids[key] = sid
-                slice_keys.append(key)
-                dims.append({})
-            col = dims[sid].get(beta, 0)
-            dims[sid][beta] = col + 1
-            sids.append(sid)
-            cols.append(col)
-        state_sids.append(sids)
-        state_cols.append(cols)
+        gamma, beta, groups = res.n_circles, s.bit_count(), state_groups[s]
+        shape = shapes.get((gamma, beta, groups))
+        if shape is None:
+            sids, ranks, counts = [], [], {}
+            for mask in range(1 << gamma):
+                key = (2 * mask.bit_count() - gamma + beta, _grading_key(groups, mask))
+                sid = slice_ids.get(key)
+                if sid is None:
+                    sid = len(slice_keys)
+                    slice_ids[key] = sid
+                    slice_keys.append(key)
+                    dims.append({})
+                sids.append(sid)
+                ranks.append(counts.get(sid, 0))
+                counts[sid] = ranks[-1] + 1
+            shape = shapes[gamma, beta, groups] = (len(shapes), sids, ranks, counts)
+        bases = {}
+        for sid, cnt in shape[3].items():
+            bases[sid] = dims[sid].get(beta, 0)
+            dims[sid][beta] = bases[sid] + cnt
+        state_shapes.append(shape)
+        state_bases.append(bases)
 
-    # boundary rows by source degree, then slice id; the label images of a
-    # (kind, indices, table) are made once per build.  One pass per source
-    # state: classify its out-edges, then write each generator's row once.
+    # boundary rows by source degree, then slice id.  An out-edge's template
+    # is keyed by all that its label images, scatter table and slice check
+    # read: both state shapes (which fix the table), the circle indices and
+    # the target bits of the untouched circles.  Per source mask it holds the
+    # OR of 1 << rank of the mask's images in the target state; the check
+    # keeps them all in the mask's slice, so the edge shifts it by the
+    # target's base there.  A zero map's template is empty.
     di = -n_minus if shift else 0
     dj = n_plus - 2 * n_minus if shift else 0
     mats: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
     label_images = cache(_label_images)
+    templates: dict[tuple, list[int]] = {}
     for s, src in enumerate(resolutions):
-        classes_s, anchors = state_classes[s], src.anchors
+        shape_s, anchors = state_shapes[s], src.anchors
         out_edges = []
         for c in range(n):
             if (s >> c) & 1:
@@ -471,44 +484,56 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
             t = s | (1 << c)
             tgt = resolutions[t]
             kind, indices = edge_circles(d, src, tgt, c)
-            table = edge_table(kind, indices, classes_s, state_classes[t])
-            if table is None:
-                continue
-            consumed, images = label_images(kind, indices, table)
-            # scat: source label mask -> target bits of the untouched circles,
-            # each at the target position owning its anchor; the consumed
-            # circles add none
             owner = tgt.owner
             tbits = [1 << owner[a] for a in anchors]
             tbits[indices[0]] = 0
             if kind == "merge":
                 tbits[indices[1]] = 0
-            scat = [0]
-            for b in tbits:
-                scat += [x | b for x in scat]
-            out_edges.append((c, consumed, images, scat, state_sids[t], state_cols[t]))
+            shape_t = state_shapes[t]
+            key = (shape_s[0], shape_t[0], kind, indices, tuple(tbits))
+            template = templates.get(key)
+            if template is None:
+                template = templates[key] = []
+                table = edge_table(kind, indices, state_classes[s], state_classes[t])
+                if table is not None:
+                    consumed, images = label_images(kind, indices, table)
+                    # scat: source label mask -> target bits of the untouched
+                    # circles, each at the target position owning its anchor
+                    scat = [0]
+                    for b in tbits:
+                        scat += [x | b for x in scat]
+                    _, sids_t, ranks_t, _ = shape_t
+                    for mask, sid in enumerate(shape_s[1]):
+                        acc = 0
+                        for out in images[mask & consumed]:
+                            tmask = scat[mask] | out
+                            if sids_t[tmask] != sid:
+                                (ja, ha), (jb, hb) = (_slice_key(slice_keys[x], dj, class_pool)
+                                                      for x in (sid, sids_t[tmask]))
+                                raise RuntimeError(f"differential left its grading slice at"
+                                                   f" state {s}, crossing {c}: slice (j={ja},"
+                                                   f" h={ha}) -> (j={jb}, h={hb})")
+                            acc |= 1 << ranks_t[tmask]
+                        template.append(acc)
+            if template:
+                out_edges.append((template, state_bases[t]))
         if not out_edges:
             continue
+        # each generator's row is written once, ORed across the out-edges
         beta = s.bit_count()
-        rows, cols_s = mats[beta], state_cols[s]
-        for mask, sid in enumerate(state_sids[s]):
+        _, sids, ranks, _ = shape_s
+        rows, bases_s = mats[beta], state_bases[s]
+        for mask, sid in enumerate(sids):
             acc = 0
-            for c, consumed, images, scat, sids_t, cols_t in out_edges:
-                for out in images[mask & consumed]:
-                    tmask = scat[mask] | out
-                    tsid = sids_t[tmask]
-                    if tsid != sid:
-                        (ja, ha), (jb, hb) = (_slice_key(slice_keys[x], dj, class_pool)
-                                              for x in (sid, tsid))
-                        raise RuntimeError(f"differential left its grading slice at state"
-                                           f" {s}, crossing {c}: slice (j={ja}, h={ha})"
-                                           f" -> (j={jb}, h={hb})")
-                    acc |= 1 << cols_t[tmask]
+            for template, bases_t in out_edges:
+                x = template[mask]
+                if x:
+                    acc |= x << bases_t[sid]
             if acc:
                 row = rows.get(sid)
                 if row is None:
                     row = rows[sid] = [0] * dims[sid][beta]
-                row[cols_s[mask]] = acc
+                row[bases_s[sid] + ranks[mask]] = acc
 
     # package, applying the orientation shifts to the output gradings
     slices: dict[tuple[int, GradingElem], SliceComplex] = {}

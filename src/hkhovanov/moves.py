@@ -19,15 +19,18 @@ from .diagram import Diagram, HEAD, SlotRef, TAIL, crossing_sign, validate
 from .words import Word
 
 
-# per move kind, the parameters it needs and those it may take; r2 names its
-# two strands by edges, by loops, or by an edge and a loop
-MOVE_PARAMS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "r1+": ((), ("edge", "loop", "split")),
-    "r1-": ((), ("edge", "loop", "split")),
-    "r1rm": (("crossing",), ()),
-    "r2": ((), ("edges", "loops", "edge", "loop", "splits", "over")),
-    "r2rm": (("crossings",), ()),
-    "r3": (("edges",), ()),
+# per move kind, the forms of the parameters it needs, which exclude each
+# other (r1 names its arc by an edge or a loop; r2 its two strands by edges,
+# by loops, or by an edge and a loop), and those it may take.  Each parameter
+# maps to the length of its tuple value, or None for a single int.
+MOVE_PARAMS: dict[str, tuple[tuple[dict[str, int | None], ...], dict[str, int | None]]] = {
+    "r1+": (({"edge": None}, {"loop": None}), {"split": None}),
+    "r1-": (({"edge": None}, {"loop": None}), {"split": None}),
+    "r1rm": (({"crossing": None},), {}),
+    "r2": (({"edges": 2}, {"loops": 2}, {"edge": None, "loop": None}),
+           {"splits": 2, "over": None}),
+    "r2rm": (({"crossings": 2},), {}),
+    "r3": (({"edges": 3},), {}),
 }
 
 
@@ -39,13 +42,18 @@ class MoveSpec:
     def __post_init__(self) -> None:
         if self.kind not in MOVE_PARAMS:
             raise ValueError(f"unknown move kind {self.kind!r}")
-        need, may = MOVE_PARAMS[self.kind]
-        for key in self.params:
-            if key not in need and key not in may:
+        forms, may = MOVE_PARAMS[self.kind]
+        lengths = {key: n for form in (*forms, may) for key, n in form.items()}
+        for key, value in self.params.items():
+            if key not in lengths:
                 raise ValueError(f"{self.kind}: unknown parameter {key!r}")
-        if self.kind == "r2" and not {"edges", "loops"} & self.params.keys():
-            need = ("edge", "loop")
-        for key in need:
+            if lengths[key] is not None and len(value) != lengths[key]:
+                raise ValueError(f"{self.kind}: parameter {key!r} takes {lengths[key]} values")
+        given = [form for form in forms if form.keys() & self.params.keys()]
+        if len(given) > 1:
+            a, b = (min(form.keys() & self.params.keys()) for form in given[:2])
+            raise ValueError(f"{self.kind}: parameters {a!r} and {b!r} exclude each other")
+        for key in (given or forms)[0]:
             if key not in self.params:
                 raise ValueError(f"{self.kind}: missing parameter {key!r}")
 

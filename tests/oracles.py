@@ -11,14 +11,17 @@ independent checks.
 from __future__ import annotations
 
 import itertools
+import random
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
-from hkhovanov import chain
-from hkhovanov.cube import Circle, Resolution, circle_classes, resolve
+from hkhovanov import chain, cube
+from hkhovanov.cube import Circle, CubeEdge, Resolution, circle_classes, cube_edges, resolve
 from hkhovanov.diagram import Diagram, HEAD, TAIL, crossing_sign, crossing_signs
 from hkhovanov.words import (
+    TRIVIAL_CLASS,
     ZERO_GRADING,
     ConjClass,
     GradingElem,
@@ -541,3 +544,93 @@ def transformed_circles(reverse_circles: bool = False, invert_circle_words: bool
         yield
     finally:
         chain.resolve = real
+
+
+@contextmanager
+def shuffled_circles(seed: int):
+    """Within the block, the build, ``cube_edges`` and this module's oracles
+    list every state's circles in a seeded order of that state's own (owner
+    index and anchors renumbered to match), so the circles an edge leaves
+    alone need not keep their relative order."""
+    real = cube.resolve
+
+    def shuffled(d: Diagram, state: int) -> Resolution:
+        res = real(d, state)
+        perm = list(range(res.n_circles))
+        random.Random(seed * 65537 + state).shuffle(perm)
+        circles, anchors = [None] * len(perm), [0] * len(perm)
+        for old, new in enumerate(perm):
+            circles[new], anchors[new] = res.circles[old], res.anchors[old]
+        return Resolution(state, tuple(circles), tuple(perm[i] for i in res.owner),
+                          tuple(anchors))
+
+    sites = (chain, cube, sys.modules[__name__])
+    for module in sites:
+        module.resolve = shuffled
+    try:
+        yield
+    finally:
+        for module in sites:
+            module.resolve = real
+
+
+def hand_images(d: Diagram, edge: CubeEdge, classes_by_state, mask: int) -> list[int]:
+    """Images of one labelled state under one cube edge, straight off the tables."""
+    src_classes = classes_by_state[edge.source]
+    tgt_classes = classes_by_state[edge.target]
+    if edge.kind == "neutral":
+        return []
+    move = {sp: tp for sp, tp in edge.unchanged}
+    if edge.kind == "merge":
+        i, j, k = edge.indices
+        table = chain.merge_case(src_classes[i], src_classes[j], tgt_classes[k])
+        if table is None:
+            return []
+        outs = chain.MERGE_TABLES[table][((mask >> i) & 1, (mask >> j) & 1)]
+        images = []
+        for out in outs:
+            t = out << k
+            for sp, tp in move.items():
+                t |= ((mask >> sp) & 1) << tp
+            images.append(t)
+        return images
+    i, j, k = edge.indices
+    table = chain.split_case(src_classes[i], tgt_classes[j], tgt_classes[k])
+    if table is None:
+        return []
+    images = []
+    for o1, o2 in chain.SPLIT_TABLES[table][(mask >> i) & 1]:
+        t = (o1 << j) | (o2 << k)
+        for sp, tp in move.items():
+            t |= ((mask >> sp) & 1) << tp
+        images.append(t)
+    return images
+
+
+def naive_rows(d: Diagram, flavor: str) -> dict[tuple[int, int], tuple]:
+    """(state, mask) -> (slice key (j, h), degree i, column, boundary row) of
+    every generator of ``build_complex(d, flavor)``, edge by edge: columns
+    number each slice and degree's generators in (state, mask) order, and a
+    row has one bit per ``hand_images`` image over the ``cube_edges``."""
+    classes_by_state = {}
+    out = {}
+    counts: dict[tuple, int] = {}
+    for s in range(1 << d.n_crossings):
+        classes = circle_classes(d, resolve(d, s))
+        if flavor == "classical":
+            classes = (TRIVIAL_CLASS,) * len(classes)
+        classes_by_state[s] = classes
+        for mask in range(1 << len(classes)):
+            labels = tuple((mask >> t) & 1 for t in range(len(classes)))
+            i, j, h = generator_gradings(d, s, labels)
+            key = (j, h if flavor == "homotopical" else ZERO_GRADING), i
+            counts[key] = col = counts.get(key, -1) + 1
+            out[s, mask] = (*key, col, 0)
+    for edge in cube_edges(d):
+        for mask in range(1 << len(classes_by_state[edge.source])):
+            for image in hand_images(d, edge, classes_by_state, mask):
+                key, i, col, row = out[edge.source, mask]
+                tkey, ti, tcol, _ = out[edge.target, image]
+                assert (tkey, ti) == (key, i + 1)
+                out[edge.source, mask] = (key, i, col, row ^ (1 << tcol))
+    return out

@@ -1,6 +1,7 @@
 """Label maps, case dispatch, face identities, and complex assembly."""
 
 import collections
+import contextlib
 import hashlib
 import json
 import pathlib
@@ -9,6 +10,7 @@ import random
 import pytest
 
 from hkhovanov import chain, cube
+from hkhovanov.braid import braid_closure
 from hkhovanov.chain import (
     MERGE_TABLES,
     MINUS,
@@ -29,7 +31,15 @@ from hkhovanov.randgen import random_diagram
 from hkhovanov.words import Surface, TRIVIAL_CLASS, ZERO_GRADING
 
 from helpers import CORPUS_NAMES, corpus, load_script
-from oracles import generator_gradings, grading_add, grading_term, transformed_circles
+from oracles import (
+    generator_gradings,
+    grading_add,
+    grading_term,
+    hand_images,
+    naive_rows,
+    shuffled_circles,
+    transformed_circles,
+)
 
 SURF = Surface(1)
 A = SURF.canonical_class((1,))
@@ -176,39 +186,6 @@ def test_flavors_disagree_on_a_mixed_face():
     dispatched = compose_ops((("merge", "m1", 0), ("split", "delta1", 0)), 2)
     assert classical.rows[x_plus_y_minus] == 1 << 0b00
     assert dispatched.rows[x_plus_y_minus] == 0
-
-
-def hand_images(d, edge, classes_by_state, mask):
-    """Images of one labelled state under one cube edge, straight off the tables."""
-    src_classes = classes_by_state[edge.source]
-    tgt_classes = classes_by_state[edge.target]
-    if edge.kind == "neutral":
-        return []
-    move = {sp: tp for sp, tp in edge.unchanged}
-    if edge.kind == "merge":
-        i, j, k = edge.indices
-        table = merge_case(src_classes[i], src_classes[j], tgt_classes[k])
-        if table is None:
-            return []
-        outs = MERGE_TABLES[table][((mask >> i) & 1, (mask >> j) & 1)]
-        images = []
-        for out in outs:
-            t = out << k
-            for sp, tp in move.items():
-                t |= ((mask >> sp) & 1) << tp
-            images.append(t)
-        return images
-    i, j, k = edge.indices
-    table = split_case(src_classes[i], tgt_classes[j], tgt_classes[k])
-    if table is None:
-        return []
-    images = []
-    for o1, o2 in SPLIT_TABLES[table][(mask >> i) & 1]:
-        t = (o1 << j) | (o2 << k)
-        for sp, tp in move.items():
-            t |= ((mask >> sp) & 1) << tp
-        images.append(t)
-    return images
 
 
 @pytest.mark.parametrize("name", ["trefoil_g1", "neutral1", "torus_link2"])
@@ -373,6 +350,53 @@ def test_build_traces_each_state_once_and_classifies_from_owner_slots(monkeypatc
         counts.clear()
         build_complex(d, flavor)
         assert counts == {"resolve": 1 << n, "edge_circles": n << (n - 1)}
+
+
+def test_build_makes_one_template_per_state_shape_and_edge_shape(monkeypatch):
+    # perf12_genus1, homotopical: 4,096 states and 45,456 generators, but
+    # their slice keys are made once per state shape (γ, β, class groups),
+    # 2,500 masks in all; the table is dispatched once per edge template,
+    # 804 of the 24,576 cube edges
+    counts = collections.Counter()
+    for name in ("_grading_key", "edge_table"):
+        real = getattr(chain, name)
+
+        def counted(*args, real=real, name=name):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(chain, name, counted)
+    assert build_complex(corpus("perf12_genus1")).total_dim() == 45456
+    assert counts == {"_grading_key": 2500, "edge_table": 804}
+    assert counts["_grading_key"] < 45456
+
+
+def row_oracle_inputs():
+    """30 seeded random diagrams of genus 0-3 (some with free loops), and the
+    genus-1 closure of [1,2,3]*3 on 4 strands, whose state shapes repeat."""
+    rng = random.Random(31)
+    out = [random_diagram(rng, rng.randint(1, 7), k % 4, max_word_len=3, n_loops=k % 3)
+           for k in range(30)]
+    out.append(braid_closure([1, 2, 3] * 3, 4, genus=1, closure_words=["a", "", "", ""]))
+    return out
+
+
+@pytest.mark.parametrize("flavor", ["homotopical", "classical"])
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_every_row_matches_the_edge_by_edge_oracle(flavor, shuffle):
+    # the templated build against cube_edges + hand_images, generator by
+    # generator: slices, dims and every boundary row.  Shuffled circles move
+    # the untouched circles of an edge independently of its indices, which
+    # an edge template must then tell apart
+    for d in row_oracle_inputs():
+        with shuffled_circles(7) if shuffle else contextlib.nullcontext():
+            cx = build_complex(d, flavor)
+            want = naive_rows(d, flavor)
+        dims = collections.Counter((key, i) for key, i, _, _ in want.values())
+        assert {(key, i): cnt for key, sc in cx.slices.items()
+                for i, cnt in sc.dims.items()} == dims
+        for key, i, col, row in want.values():
+            mat = cx.slices[key].mats.get(i)
+            assert (0 if mat is None else mat.rows[col]) == row
 
 
 def test_leaving_the_slice_names_the_site(monkeypatch):

@@ -126,6 +126,19 @@ def test_verify_moves_names_a_missing_or_unknown_parameter(moves, message, capsy
     assert err == f"error: --moves: {message}\n"
 
 
+@pytest.mark.parametrize("moves, message", [
+    ("r2rm:crossings=1", "r2rm: parameter 'crossings' takes 2 values"),
+    ("r3:edges=0,1", "r3: parameter 'edges' takes 3 values"),
+    ("r2:edges=0,1,loop=0", "r2: parameters 'edges' and 'loop' exclude each other"),
+])
+def test_verify_moves_names_a_wrong_arity_or_a_clash(moves, message, capsys):
+    # a short tuple used to fail unpacking, naming neither the move nor the
+    # key, and a second strand form was silently ignored
+    code, out, err = run(capsys, "verify-moves", corpus_path("trefoil_rh"), "--moves", moves)
+    assert code == 2 and out == ""
+    assert err == f"error: --moves: {message}\n"
+
+
 def test_verify_moves_default_site_enumeration(capsys):
     code, out, _ = run(capsys, "verify-moves", corpus_path("kink_plus"))
     assert code == 0
