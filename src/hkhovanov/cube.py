@@ -7,7 +7,8 @@ through the diagram's dart table (``Diagram.dart_steps``, built once per
 diagram); each circle is read from its least edge, traversed tail-to-head,
 concatenating edge words (inverted against the traversal).  Circles are
 listed sorted by least visited edge, with crossing-free loops appended after
-them in input order.  A resolution also keeps an owner index: for each edge
+them in input order.  ``circle_counts`` makes the same walks for every state
+and only counts them.  A resolution also keeps an owner index: for each edge
 the position of the circle through it, then one slot per free loop; and per
 circle its anchor, the owner slot of its least edge or of its loop.
 
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 from .diagram import Diagram
 from .words import ConjClass, Word, free_reduce
 
-__all__ = ["Circle", "Resolution", "CubeEdge", "resolve", "edge_circles", "classify_edge",
-           "cube_edges"]
+__all__ = ["Circle", "Resolution", "CubeEdge", "resolve", "circle_counts", "edge_circles",
+           "classify_edge", "cube_edges"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,7 +78,8 @@ def resolve(d: Diagram, state: int) -> Resolution:
         while True:
             e = dart >> 1
             if owner[e] is not None:
-                raise RuntimeError("corrupted diagram: edge traversed twice")
+                raise RuntimeError(f"corrupted diagram at state {state}:"
+                                   f" edge {e} traversed twice")
             owner[e] = pos
             c, nxt0, nxt1, w, pair = steps[dart]
             darts.append(pair)
@@ -92,6 +94,34 @@ def resolve(d: Diagram, state: int) -> Resolution:
         owner.append(len(circles))
         circles.append(Circle((), tuple(w), loop=k))
     return Resolution(state, tuple(circles), tuple(owner), tuple(anchors))
+
+
+def circle_counts(d: Diagram) -> list[int]:
+    """Circle count of every state, in state order: the closed walks of
+    ``resolve`` through the dart table, counted without darts or words."""
+    steps = [step[:3] for step in d.dart_steps]
+    n_edges = len(d.edge_words)
+    counts = []
+    for state in range(1 << d.n_crossings):
+        seen = [False] * n_edges
+        count = len(d.free_loops)
+        for e0 in range(n_edges):
+            if seen[e0]:
+                continue
+            count += 1
+            dart = start = 2 * e0
+            while True:
+                e = dart >> 1
+                if seen[e]:
+                    raise RuntimeError(f"corrupted diagram at state {state}:"
+                                       f" edge {e} traversed twice")
+                seen[e] = True
+                c, nxt0, nxt1 = steps[dart]
+                dart = nxt1 if (state >> c) & 1 else nxt0
+                if dart == start:
+                    break
+        counts.append(count)
+    return counts
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .cube import resolve
+from .cube import circle_counts
 from .diagram import Diagram, HEAD, TAIL
 from .words import Word
 
@@ -48,8 +48,7 @@ def random_diagram(rng: random.Random, n_crossings: int, genus: int,
 def cube_size(d: Diagram) -> int:
     """Total generator count of the unreduced cube, sum over states of
     2**(number of circles)."""
-    return sum(1 << len(resolve(d, s).circles)
-               for s in range(1 << d.n_crossings))
+    return sum(1 << k for k in circle_counts(d))
 
 
 def random_diagram_stream(seed: int, count: int, max_crossings: int = 6,

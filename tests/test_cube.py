@@ -1,5 +1,8 @@
 """State resolutions and cube edge classification."""
 
+import hashlib
+import json
+import pathlib
 import random
 from dataclasses import replace
 from functools import cached_property
@@ -7,9 +10,9 @@ from functools import cached_property
 import pytest
 
 from hkhovanov import chain, randgen
-from hkhovanov.cube import circle_classes, classify_edge, cube_edges, resolve
+from hkhovanov.cube import circle_classes, circle_counts, classify_edge, cube_edges, resolve
 from hkhovanov.chain import build_complex, merge_case, split_case
-from hkhovanov.diagram import Diagram
+from hkhovanov.diagram import Diagram, diagram_to_json
 from hkhovanov.randgen import random_diagram, random_diagram_stream
 
 from helpers import CORPUS_NAMES, SMALL_GENUS0, corpus
@@ -58,11 +61,13 @@ def test_resolve_matches_the_tracing_oracle():
     inputs = small_random_diagrams() + [
         corpus(name) for name in CORPUS_NAMES if name != "perf12_genus1"]
     for d in inputs:
+        counts = circle_counts(d)
         for s in range(1 << d.n_crossings):
             res = resolve(d, s)
             circles, owner = trace_circles(d, s)
             assert [(c.darts, c.word) for c in res.circles] == circles
             assert res.owner == owner
+            assert counts[s] == len(circles)
 
 
 def test_dart_table_is_built_once_per_diagram(monkeypatch):
@@ -81,7 +86,7 @@ def test_dart_table_is_built_once_per_diagram(monkeypatch):
     build_complex(d, "classical")
     assert [id(x) for x in built] == [id(d)]
 
-    # the size cap traces every state of every candidate, kept or not
+    # the size cap counts the circles of every candidate, kept or not
     built.clear()
     made = []
 
@@ -94,6 +99,23 @@ def test_dart_table_is_built_once_per_diagram(monkeypatch):
                                       size_cap=500))
     assert len(made) > len(kept) == 20
     assert [id(x) for x in built] == [id(x) for x in made]
+
+
+STREAM_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "random_streams.json"
+
+
+def test_random_streams_match_the_recorded_golden():
+    # "capped" rejects candidates over its size cap; "fuzz_mixed" is the
+    # perfbench workload's stream, which rejects none
+    streams = {
+        "capped": random_diagram_stream(0, 20, max_crossings=8, max_genus=3, max_word_len=4,
+                                        size_cap=500),
+        "fuzz_mixed": random_diagram_stream(0, 300, max_crossings=8, max_genus=3,
+                                            max_word_len=4),
+    }
+    digests = {name: hashlib.sha256(json.dumps([diagram_to_json(d) for d in stream]).encode())
+               .hexdigest() for name, stream in streams.items()}
+    assert digests == json.loads(STREAM_GOLDEN.read_text())
 
 
 def test_supports_partition_the_edge_set():
@@ -172,6 +194,24 @@ def test_corrupted_owner_index_names_the_site(monkeypatch):
     for flavor in ("homotopical", "classical"):
         with pytest.raises(RuntimeError) as err:
             build_complex(d, flavor)
+        assert str(err.value) == message
+
+
+def test_corrupted_walk_names_the_site():
+    # dart 4 (edge 2 into crossing 2) now leaves the 1-smoothing backwards
+    # along edge 1: at state 4 the walk from edge 0 takes edges 0, 2, 1, 5, 4
+    # and closes, and the walk from edge 3 steps back onto edge 2
+    d = corpus("trefoil_rh")
+    steps = list(d.dart_steps)
+    c, nxt0, _, word, pair = steps[4]
+    steps[4] = (c, nxt0, 3, word, pair)
+    d.__dict__["dart_steps"] = tuple(steps)
+    message = "corrupted diagram at state 4: edge 2 traversed twice"
+    runs = [lambda: resolve(d, 4), lambda: circle_counts(d),
+            lambda: build_complex(d, "homotopical"), lambda: build_complex(d, "classical")]
+    for run in runs:
+        with pytest.raises(RuntimeError) as err:
+            run()
         assert str(err.value) == message
 
 
