@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Peak memory of the cube build on a ladder of 4-braid closures.
 
-    python3 scripts/memory_ladder.py [--min 8] [--max 14] [--cap-mb MB]
+    python3 scripts/memory_ladder.py [--min 8] [--max 16] [--cap-mb MB]
 
 For each crossing count n it builds and ranks the closure of the braid word
 ([1,2,3]*k)[:n] on 4 strands at three points: genus 0 classical, genus 1
@@ -14,7 +14,9 @@ so Linux only) is that build's own.  --cap-mb limits the address space of
 that child only; a point that runs out reads MemoryError.  It prints the
 generator count, build and rank seconds, peak RSS and a sha256 prefix of the
 tsv table, then per genus the largest n whose peak stayed under LIMIT_MB.  A
-point that fails or exceeds the limit ends its genus.
+point that fails or exceeds the limit ends its genus.  The default top, n = 16,
+is the largest n that fits under LIMIT_MB at every genus (its genus-0 point
+peaks near 700 MiB and takes about a minute to build and rank).
 """
 
 import argparse
@@ -77,7 +79,7 @@ def measure(genus: int, flavor: str, n: int, cap_mb: int | None) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--min", type=int, default=8, help="least crossing count")
-    ap.add_argument("--max", type=int, default=14, help="greatest crossing count")
+    ap.add_argument("--max", type=int, default=16, help="greatest crossing count")
     ap.add_argument("--cap-mb", type=int, default=None,
                     help="address-space limit of each child, in MiB")
     ap.add_argument("--point", nargs=3, metavar=("GENUS", "FLAVOR", "N"),

@@ -17,17 +17,22 @@ Two flavors are built from the same cube:
 
 Edges whose two resolutions have the same circle count contribute nothing
 in either flavor.
+
+The differential preserves the grading slice, so each slice's boundary maps
+are separate GF(2) matrices.  A narrow one is a `GF2Matrix` of dense rows;
+a wide one (more than WIDE_BITS dense bits) is a `BoundaryMap` that keeps
+the recipe of its rows and makes them when they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .cube import Resolution, circle_classes, edge_circles, resolve
 from .diagram import Diagram, crossing_signs
-from .gf2 import GF2Matrix
+from .gf2 import GF2Matrix, product_rows, rank_of
 from .words import ConjClass, GradingElem
 
 MINUS, PLUS = 0, 1
@@ -360,11 +365,56 @@ def verify_table1() -> Table1Report:
 # Complex assembly.
 
 
+WIDE_BITS = 1 << 16  # a map with more dense bits than this is kept as a recipe
+
+
+def _rows(recipe: list) -> Iterator[int]:
+    """Boundary rows from a recipe, a flat list with three items per source
+    state: its generators' masks, its shape's mask -> slice id list and its
+    out-edges (template, target's column bases).  Each row is the OR of the
+    state's out-edges' template entries at the mask, shifted by the target's
+    column base in the mask's slice."""
+    it = iter(recipe)
+    for masks, sids, out_edges in zip(it, it, it):
+        for mask in masks:
+            acc = 0
+            sid = sids[mask]
+            for template, bases in out_edges:
+                x = template[mask]
+                if x:
+                    acc |= x << bases[sid]
+            yield acc
+
+
+class BoundaryMap:
+    """A wide boundary map of one slice, kept as the recipe of its rows.
+
+    The recipe lists the map's source states in column order, as `_rows`
+    reads them.  `rows` makes the same ints a `GF2Matrix` would hold, on
+    every read; `rank` streams them through `gf2.rank_of`.
+    """
+    __slots__ = ("nrows", "ncols", "_recipe")
+
+    def __init__(self, nrows: int, ncols: int, recipe: list):
+        self.nrows, self.ncols, self._recipe = nrows, ncols, recipe
+
+    @property
+    def rows(self) -> list[int]:
+        return list(_rows(self._recipe))
+
+    def rank(self) -> int:
+        return rank_of(_rows(self._recipe))
+
+    def __repr__(self) -> str:
+        return f"BoundaryMap({self.nrows}x{self.ncols})"
+
+
 @dataclass
 class SliceComplex:
     """One (quantum, class-weighted) grading slice: dims and boundary maps by degree."""
     dims: dict[int, int]
-    mats: dict[int, GF2Matrix]  # degree i -> matrix from slot i to slot i+1
+    # degree i -> map from slot i to slot i+1: dense rows, or a wide map's recipe
+    mats: dict[int, GF2Matrix | BoundaryMap]
 
 
 @dataclass
@@ -463,6 +513,24 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
         state_shapes.append(shape)
         state_bases.append(bases)
 
+    # A map from degree beta to beta + 1 of a slice with more than WIDE_BITS
+    # dense bits is wide: the build keeps its recipe and writes no rows.  A
+    # state shape with a wide map is split into the masks of its narrow maps
+    # and, per wide slice, that slice's masks.
+    recipes: list[dict[int, list]] = [{} for _ in range(n + 1)]
+    for sid, sdims in enumerate(dims):
+        for beta, cnt in sdims.items():
+            if cnt * sdims.get(beta + 1, 0) > WIDE_BITS:
+                recipes[beta][sid] = []
+    splits: dict[int, tuple[list[int], dict[int, list[int]]]] = {}
+    for (_, beta, _), (shape_id, sids, _, counts) in shapes.items():
+        wide = {sid: [] for sid in counts if sid in recipes[beta]}
+        if wide:
+            narrow = []
+            for mask, sid in enumerate(sids):
+                (wide[sid] if sid in wide else narrow).append(mask)
+            splits[shape_id] = (narrow, wide)
+
     # boundary rows by source degree, then slice id.  An out-edge's template
     # is keyed by all that its label images, scatter table and slice check
     # read: both state shapes (which fix the table), the circle indices and
@@ -517,19 +585,21 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
                         template.append(acc)
             if template:
                 out_edges.append((template, state_bases[t]))
-        if not out_edges:
-            continue
-        # each generator's row is written once, ORed across the out-edges
+        # a narrow map gets this state's rows now, each written once, ORed
+        # across the out-edges; a wide one gets its recipe entry
         beta = s.bit_count()
         _, sids, ranks, _ = shape_s
+        narrow = range(len(sids))
+        if shape_s[0] in splits:
+            narrow, wide = splits[shape_s[0]]
+            for sid, masks in wide.items():
+                recipes[beta][sid] += masks, sids, out_edges
+        if not out_edges:
+            continue
         rows, bases_s = mats[beta], state_bases[s]
-        for mask, sid in enumerate(sids):
-            acc = 0
-            for template, bases_t in out_edges:
-                x = template[mask]
-                if x:
-                    acc |= x << bases_t[sid]
+        for mask, acc in zip(narrow, _rows([narrow, sids, out_edges])):
             if acc:
+                sid = sids[mask]
                 row = rows.get(sid)
                 if row is None:
                     row = rows[sid] = [0] * dims[sid][beta]
@@ -539,20 +609,28 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
     slices: dict[tuple[int, GradingElem], SliceComplex] = {}
     for sid, key in enumerate(slice_keys):
         sdims = {beta + di: cnt for beta, cnt in dims[sid].items()}
-        smats = {}
+        smats: dict[int, GF2Matrix | BoundaryMap] = {}
         for beta, cnt in dims[sid].items():
+            ncols = dims[sid].get(beta + 1, 0)
             rows = mats[beta].get(sid)
             if rows is not None:
-                smats[beta + di] = GF2Matrix(cnt, dims[sid].get(beta + 1, 0), rows)
+                smats[beta + di] = GF2Matrix(cnt, ncols, rows)
+            elif sid in recipes[beta] and any(_rows(recipes[beta][sid])):
+                smats[beta + di] = BoundaryMap(cnt, ncols, recipes[beta][sid])
         slices[_slice_key(key, dj, class_pool)] = SliceComplex(sdims, smats)
     return ChainComplex(d.genus, flavor, slices)
 
 
 def differential_squares_to_zero(cx: ChainComplex) -> bool:
-    """Whether consecutive boundary maps compose to zero in every slice."""
+    """Whether consecutive boundary maps compose to zero in every slice.
+
+    Each map's rows are read once per call, in degree order.
+    """
     for sc in cx.slices.values():
-        for i, mat in sc.mats.items():
-            nxt = sc.mats.get(i + 1)
-            if nxt is not None and not mat.multiply(nxt).is_zero():
+        prev_i, prev = None, None
+        for i in sorted(sc.mats):
+            rows = sc.mats[i].rows
+            if prev_i == i - 1 and any(product_rows(prev, rows)):
                 return False
+            prev_i, prev = i, rows
     return True

@@ -56,13 +56,20 @@ def parse_moves(text: str) -> list[MoveSpec]:
         if kind is None:
             raise ValueError(f"--moves: value {seg!r} before any move kind")
         if "=" in seg:
-            key, val = seg.split("=", 1)
-            params[key] = [int(val)]
+            key, seg = seg.split("=", 1)
+            if key in params:
+                raise ValueError(f"--moves: {kind}: parameter {key!r} given twice")
+            params[key] = []
             last_key = key
-        elif seg:
-            if last_key is None:
-                raise ValueError(f"--moves: dangling value {seg!r}")
+        elif not seg:
+            continue
+        elif last_key is None:
+            raise ValueError(f"--moves: dangling value {seg!r}")
+        try:
             params[last_key].append(int(seg))
+        except ValueError:
+            raise ValueError(f"--moves: {kind}: parameter {last_key!r} takes integers,"
+                             f" not {seg!r}") from None
     if kind is not None:
         moves.append(_make_spec(kind, params))
     if not moves:

@@ -1,14 +1,47 @@
 """Dense GF(2) matrices with rows bit-packed into python ints.
 
-Column j of a row is bit j.  Matrices are immutable after construction;
-rank uses leading-bit echelon reduction.  A row already in range is kept as
-the int it was given, so a matrix shares its rows with its builder instead of
-holding a second copy of each.
+Column j of a row is bit j.  Matrices are immutable after construction.
+`rank_of` is the one leading-bit echelon reduction: it reads its rows once,
+in order, so a caller may stream rows it makes on the fly (chain's wide
+boundary maps do).  `product_rows` composes two row lists.  A row already in
+range is kept as the int it was given, so a matrix shares its rows with its
+builder instead of holding a second copy of each.
 """
 
 from __future__ import annotations
 
-__all__ = ["GF2Matrix"]
+from typing import Iterable, Sequence
+
+__all__ = ["GF2Matrix", "product_rows", "rank_of"]
+
+
+def rank_of(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of the rows, each read once; only the pivots are kept."""
+    pivots: dict[int, int] = {}
+    for row in rows:
+        x = row
+        while x:
+            lead = x.bit_length() - 1
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = x
+                break
+            x ^= p
+    return len(pivots)
+
+
+def product_rows(rows: Iterable[int], other: Sequence[int]) -> list[int]:
+    """Rows of the product: each row is the XOR of the rows of `other` at its set bits."""
+    out = []
+    for row in rows:
+        acc = 0
+        x = row
+        while x:
+            low = x & -x
+            acc ^= other[low.bit_length() - 1]
+            x ^= low
+        out.append(acc)
+    return out
 
 
 class GF2Matrix:
@@ -44,17 +77,7 @@ class GF2Matrix:
         return not any(self.rows)
 
     def rank(self) -> int:
-        pivots: dict[int, int] = {}
-        for row in self.rows:
-            x = row
-            while x:
-                lead = x.bit_length() - 1
-                p = pivots.get(lead)
-                if p is None:
-                    pivots[lead] = x
-                    break
-                x ^= p
-        return len(pivots)
+        return rank_of(self.rows)
 
     def kernel_dim(self) -> int:
         return self.ncols - self.rank()
@@ -64,17 +87,7 @@ class GF2Matrix:
         here rows(self) x cols(other) with self.ncols == other.nrows."""
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in GF(2) product")
-        out = []
-        orows = other.rows
-        for row in self.rows:
-            acc = 0
-            x = row
-            while x:
-                low = x & -x
-                acc ^= orows[low.bit_length() - 1]
-                x ^= low
-            out.append(acc)
-        return GF2Matrix(self.nrows, other.ncols, out)
+        return GF2Matrix(self.nrows, other.ncols, product_rows(self.rows, other.rows))
 
     def transpose(self) -> "GF2Matrix":
         cols = [0] * self.ncols

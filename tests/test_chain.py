@@ -319,13 +319,54 @@ def test_matrices_match_the_recorded_golden():
 
 
 def test_fourteen_crossing_build_and_rank_peak_rss():
-    # 230,364 generators; the packaged matrices share the row ints the build
-    # made, where a second copy of every row would take the peak to ~467 MiB
-    # (the memory ladder's genus-0 classical n = 14 point, in a fresh child)
+    # 230,364 generators; the wide maps keep their recipes, not their rows,
+    # and are ranked one at a time, where holding every dense row took the
+    # peak to ~256 MiB (the memory ladder's genus-0 classical n = 14 point,
+    # in a fresh child)
     r = load_script("memory_ladder").measure(0, "classical", 14, None)
     assert "error" not in r, r
     assert r["generators"] == 230364
-    assert r["peak_mb"] < 360, f"peak rss {r['peak_mb']:.0f} MiB"
+    assert r["peak_mb"] < 150, f"peak rss {r['peak_mb']:.0f} MiB"
+
+
+@pytest.mark.parametrize("flavor", ["homotopical", "classical"])
+def test_wide_maps_are_recipes_that_read_like_dense_rows(flavor):
+    # perf12_genus1 has maps of both kinds: the wide ones (more than
+    # WIDE_BITS dense bits) are BoundaryMaps, the narrow ones GF2Matrix
+    cx = build_complex(corpus("perf12_genus1"), flavor)
+    maps = [m for sc in cx.slices.values() for m in sc.mats.values()]
+    wide = [m for m in maps if isinstance(m, chain.BoundaryMap)]
+    assert wide and len(wide) < len(maps)
+    assert all(m.nrows * m.ncols > chain.WIDE_BITS for m in wide)
+    assert all(m.nrows * m.ncols <= chain.WIDE_BITS for m in maps if m not in wide)
+    for m in wide:
+        rows = m.rows
+        assert len(rows) == m.nrows and any(rows)
+        assert m.rows == rows
+        assert m.rank() == GF2Matrix(m.nrows, m.ncols, rows).rank()
+
+
+def test_recipe_and_dense_maps_agree_whatever_the_width_cut(monkeypatch):
+    # with every map wide, or none, the build ships the same maps with the
+    # same rows: a wide map whose rows are all zero is left out, as a
+    # narrow one is
+    def maps(d, flavor, wide_bits):
+        monkeypatch.setattr(chain, "WIDE_BITS", wide_bits)
+        cx = build_complex(d, flavor)
+        kinds = {type(m) for sc in cx.slices.values() for m in sc.mats.values()}
+        return kinds, {key: {i: (m.nrows, m.ncols, m.rows) for i, m in sc.mats.items()}
+                       for key, sc in cx.slices.items()}
+
+    # the golden's inputs: the corpus, and random diagrams with zero maps
+    # between nonempty slots
+    for name, d, opts in matrix_golden_inputs():
+        if opts:
+            continue
+        for flavor in ("homotopical", "classical"):
+            dense_kinds, dense = maps(d, flavor, 1 << 62)
+            recipe_kinds, recipe = maps(d, flavor, 0)
+            assert dense == recipe, name
+            assert dense_kinds <= {GF2Matrix} and recipe_kinds <= {chain.BoundaryMap}
 
 
 def test_build_traces_each_state_once_and_classifies_from_owner_slots(monkeypatch):

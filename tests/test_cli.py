@@ -139,6 +139,21 @@ def test_verify_moves_names_a_wrong_arity_or_a_clash(moves, message, capsys):
     assert err == f"error: --moves: {message}\n"
 
 
+@pytest.mark.parametrize("moves, message", [
+    ("r1+:edge=x", "r1+: parameter 'edge' takes integers, not 'x'"),
+    ("r2:edges=0,x", "r2: parameter 'edges' takes integers, not 'x'"),
+    ("r1+:edge=1,edge=2", "r1+: parameter 'edge' given twice"),
+    ("r2:edges=0,1,splits=1,0,edges=1,2", "r2: parameter 'edges' given twice"),
+])
+def test_verify_moves_names_a_bad_value_or_a_repeated_key(moves, message, capsys):
+    # a non-integer value used to escape as int()'s own message, naming
+    # neither the move nor the key, and a repeated key silently kept its
+    # last value
+    code, out, err = run(capsys, "verify-moves", corpus_path("trefoil_rh"), "--moves", moves)
+    assert code == 2 and out == ""
+    assert err == f"error: --moves: {message}\n"
+
+
 def test_verify_moves_default_site_enumeration(capsys):
     code, out, _ = run(capsys, "verify-moves", corpus_path("kink_plus"))
     assert code == 0

@@ -4,7 +4,7 @@ import random
 
 from hypothesis import given, strategies as st
 
-from hkhovanov.gf2 import GF2Matrix
+from hkhovanov.gf2 import GF2Matrix, product_rows, rank_of
 
 from oracles import naive_rank
 
@@ -42,6 +42,23 @@ def test_rank_matches_oracle_on_200_random_matrices():
         assert r == naive_rank(to_lists(m))
         assert r == m.transpose().rank()
         assert m.kernel_dim() == ncols - r
+
+
+def test_rank_of_reads_a_stream_of_rows_once():
+    # the elimination behind GF2Matrix.rank also takes rows made on the fly
+    rng = random.Random(2)
+    for _ in range(50):
+        m = random_matrix(rng, rng.randrange(0, 40), rng.randrange(0, 40))
+        assert rank_of(iter(m.rows)) == m.rank() == naive_rank(to_lists(m))
+
+
+def test_product_rows_is_the_product_of_row_lists():
+    rng = random.Random(3)
+    for _ in range(50):
+        k = rng.randrange(1, 20)
+        a = random_matrix(rng, rng.randrange(0, 20), k)
+        b = random_matrix(rng, k, rng.randrange(0, 20))
+        assert product_rows(iter(a.rows), b.rows) == a.multiply(b).rows
 
 
 def test_multiply_examples():
