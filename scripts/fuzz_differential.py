@@ -22,8 +22,8 @@ def has_neutral_edge(d) -> bool:
     """Whether some cube edge of d keeps its circle count, read from the owner
     slots like the build does."""
     n = d.n_crossings
-    res = [resolve(d, s) for s in range(1 << n)]
-    return any(edge_circles(d, res[s], res[s | 1 << c], c)[0] == "neutral"
+    owner = [resolve(d, s).owner for s in range(1 << n)]
+    return any(edge_circles(d, owner[s], owner[s | 1 << c], s, c)[0] == "neutral"
                for s in range(1 << n) for c in range(n) if not (s >> c) & 1)
 
 

@@ -12,8 +12,10 @@ corpus/perf12_genus1) and genus 2 homotopical (the first two read `a1` and
 Every point runs in a fresh interpreter, so each peak RSS (the child's VmHWM,
 so Linux only) is that build's own.  --cap-mb limits the address space of
 that child only; a point that runs out reads MemoryError.  It prints the
-generator count, build and rank seconds, peak RSS and a sha256 prefix of the
-tsv table, then per genus the largest n whose peak stayed under LIMIT_MB.  A
+generator count, build and rank seconds, peak RSS, a sha256 prefix of the
+tsv table and the resident size when the build returned (VmRSS), which
+splits the peak into what the built complex holds and what ranking adds,
+then per genus the largest n whose peak stayed under LIMIT_MB.  A
 point that fails or exceeds the limit ends its genus.  The default top, n = 16,
 is the largest n that fits under LIMIT_MB at every genus (its genus-0 point
 peaks near 700 MiB and takes about a minute to build and rank).
@@ -46,21 +48,27 @@ def closure(genus: int, n: int) -> Diagram:
                          closure_words=CLOSURE_WORDS[genus])
 
 
+def status_mb(field: str) -> float:
+    """One size field of /proc/self/status (VmRSS, VmHWM, ...), in MiB."""
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith(field + ":")) / 1024
+
+
 def run_point(genus: int, flavor: str, n: int) -> dict:
     """Build and rank one point in this process; return its measurements."""
     d = closure(genus, n)
     t0 = time.perf_counter()
     cx = build_complex(d, flavor)
     t1 = time.perf_counter()
+    built_mb = status_mb("VmRSS")
     table = homology_table(cx)
     t2 = time.perf_counter()
     tsv = poincare_report(table, "tsv").encode()
     # VmHWM, not ru_maxrss: Linux carries the launching process's peak into
     # ru_maxrss across exec
-    with open("/proc/self/status") as f:
-        peak_kb = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
     return {"generators": cx.total_dim(), "build_s": t1 - t0, "rank_s": t2 - t1,
-            "peak_mb": peak_kb / 1024, "tsv_sha256": hashlib.sha256(tsv).hexdigest()[:12]}
+            "peak_mb": status_mb("VmHWM"), "built_mb": built_mb,
+            "tsv_sha256": hashlib.sha256(tsv).hexdigest()[:12]}
 
 
 def measure(genus: int, flavor: str, n: int, cap_mb: int | None) -> dict:
@@ -96,7 +104,7 @@ def main() -> int:
         print(json.dumps(run_point(int(genus), flavor, int(n))))
         return 0
 
-    print("genus\tflavor\tn\tgenerators\tbuild_s\trank_s\tpeak_mb\ttsv_sha256")
+    print("genus\tflavor\tn\tgenerators\tbuild_s\trank_s\tpeak_mb\ttsv_sha256\tbuilt_mb")
     fits = {}
     for genus, flavor in POINTS:
         fits[genus, flavor] = None
@@ -106,7 +114,8 @@ def main() -> int:
                 print(f"{genus}\t{flavor}\t{n}\t{r['error']}", flush=True)
                 break
             print(f"{genus}\t{flavor}\t{n}\t{r['generators']}\t{r['build_s']:.2f}"
-                  f"\t{r['rank_s']:.2f}\t{r['peak_mb']:.0f}\t{r['tsv_sha256']}",
+                  f"\t{r['rank_s']:.2f}\t{r['peak_mb']:.0f}\t{r['tsv_sha256']}"
+                  f"\t{r['built_mb']:.0f}",
                   flush=True)
             if r["peak_mb"] >= LIMIT_MB:
                 break

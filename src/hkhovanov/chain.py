@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator
 
-from .cube import Resolution, circle_classes, edge_circles, resolve
+from .cube import circle_classes, edge_circles, resolve
 from .diagram import Diagram, crossing_signs
 from .gf2 import GF2Matrix, product_rows, rank_of
 from .words import ConjClass, GradingElem
@@ -369,20 +369,26 @@ WIDE_BITS = 1 << 16  # a map with more dense bits than this is kept as a recipe
 
 
 def _rows(recipe: list) -> Iterator[int]:
-    """Boundary rows from a recipe, a flat list with three items per source
-    state: its generators' masks, its shape's mask -> slice id list and its
-    out-edges (template, target's column bases).  Each row is the OR of the
-    state's out-edges' template entries at the mask, shifted by the target's
-    column base in the mask's slice."""
+    """Boundary rows from a recipe, a flat list with two items per source
+    state: its generators' masks and its out-edges, a flat tuple with two
+    items per edge (its template, the target's column bases).  A template
+    holds at 2 * mask the mask's target bits and at 2 * mask + 1 the slot of
+    their target slice; each row is the OR of the out-edges' bits at the
+    mask, shifted by the target's column base in that slot.  Most wide-map
+    entries have one mask, so they read the edges' zip once instead of
+    listing it."""
     it = iter(recipe)
-    for masks, sids, out_edges in zip(it, it, it):
+    for masks, out_edges in zip(it, it):
+        e = iter(out_edges)
+        edges = zip(e, e) if len(masks) == 1 else list(zip(e, e))
         for mask in masks:
             acc = 0
-            sid = sids[mask]
-            for template, bases in out_edges:
-                x = template[mask]
+            at = 2 * mask
+            slot_at = at + 1
+            for template, bases in edges:
+                x = template[at]
                 if x:
-                    acc |= x << bases[sid]
+                    acc |= x << bases[template[slot_at]]
             yield acc
 
 
@@ -445,6 +451,33 @@ def _slice_key(key: tuple[int, tuple[tuple[int, int], ...]], dj: int,
     return j + dj, GradingElem(tuple((class_pool[cid], coeff) for cid, coeff in hkey))
 
 
+class _Shape:
+    """The generators of the states of one shape (γ, β, class groups).
+
+    Per mask: its slice id and its rank among the shape's masks in that
+    slice.  ``slot_of`` numbers the shape's slices in mask order (slice id ->
+    slot), ``counts`` holds the masks per slot and ``classes`` the class of
+    each circle.
+    """
+    __slots__ = ("id", "classes", "sids", "ranks", "slot_of", "counts")
+
+    def __init__(self, shape_id: int, classes: list[ConjClass]):
+        self.id, self.classes = shape_id, classes
+        self.sids: list[int] = []
+        self.ranks: list[int] = []
+        self.slot_of: dict[int, int] = {}
+        self.counts: list[int] = []
+
+    def add(self, sid: int) -> None:
+        """Append the next mask, in slice sid."""
+        slot = self.slot_of.setdefault(sid, len(self.counts))
+        if slot == len(self.counts):
+            self.counts.append(0)
+        self.sids.append(sid)
+        self.ranks.append(self.counts[slot])
+        self.counts[slot] += 1
+
+
 def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -> ChainComplex:
     """Assemble the graded boundary matrices of the resolution cube of d.
 
@@ -458,60 +491,68 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
     n = d.n_crossings
     n_plus, n_minus, _ = crossing_signs(d)
 
-    resolutions: list[Resolution] = [resolve(d, s) for s in range(1 << n)]
-
-    # per-circle conjugacy classes (all trivial in the classical flavor); the
-    # nontrivial ones get ids in class order, so slice keys come out sorted
-    trivial = d.surface.canonical_class(())
-    state_classes: list[tuple[ConjClass, ...]] = [
-        circle_classes(d, res) if homotopical else (trivial,) * res.n_circles
-        for res in resolutions]
-    class_pool = sorted({cls for classes in state_classes for cls in classes
-                         if not cls.is_trivial})
+    # read each resolution once, straight into its state's owner index and
+    # anchors (bytes: a state with 256 circles would have 2^256 generators)
+    # and its class groups, (class, bit mask of its circles) per nontrivial
+    # class in class order, interned by index.  The classical flavor takes
+    # every circle as trivial.
+    owners: list[bytes] = []
+    anchors: list[bytes] = []
+    state_groups: list[int] = []
+    group_index: dict[tuple[tuple[ConjClass, int], ...], int] = {(): 0}
+    for s in range(1 << n):
+        res = resolve(d, s)
+        owners.append(bytes(res.owner))
+        anchors.append(bytes(res.anchors))
+        groups: dict[ConjClass, int] = {}
+        if homotopical:
+            for t, cls in enumerate(circle_classes(d, res)):
+                if not cls.is_trivial:
+                    groups[cls] = groups.get(cls, 0) | (1 << t)
+        state_groups.append(group_index.setdefault(tuple(sorted(groups.items())),
+                                                   len(group_index)))
+    # the nontrivial classes get ids in class order, so slice keys come out sorted
+    class_pool = sorted({cls for groups in group_index for cls, _ in groups})
     class_ids = {cls: cid for cid, cls in enumerate(class_pool)}
-    state_groups: list[tuple[tuple[int, int], ...]] = []
-    for classes in state_classes:
-        groups: dict[int, int] = {}
-        for t, cls in enumerate(classes):
-            if not cls.is_trivial:
-                cid = class_ids[cls]
-                groups[cid] = groups.get(cid, 0) | (1 << t)
-        state_groups.append(tuple(sorted(groups.items())))
+    group_list = list(group_index)
+    trivial = d.surface.canonical_class(())
 
     # enumerate generators by state shape (γ, β, class groups), which fixes
     # every mask's slice key.  The first state of a shape gives each mask its
-    # slice id (new ids in mask order) and its rank among the shape's masks
-    # in that slice; each state then takes a column base per slice from dims,
-    # so the generator (s, mask) sits at column state_bases[s][sid] + rank.
+    # slice id (new ids in mask order), its slice's slot in the shape and its
+    # rank among the shape's masks in that slice; each state then takes a
+    # column base per slot from dims, so the generator (s, mask) sits at
+    # column state_bases[s][slot] + rank.
     slice_ids: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
     slice_keys: list[tuple[int, tuple[tuple[int, int], ...]]] = []
     dims: list[dict[int, int]] = []
-    shapes: dict[tuple, tuple[int, list[int], list[int], dict[int, int]]] = {}
-    state_shapes = []
-    state_bases: list[dict[int, int]] = []
-    for s, res in enumerate(resolutions):
-        gamma, beta, groups = res.n_circles, s.bit_count(), state_groups[s]
-        shape = shapes.get((gamma, beta, groups))
+    shapes: dict[tuple[int, int, int], _Shape] = {}
+    state_shapes: list[_Shape] = []
+    state_bases: list[tuple[int, ...]] = []
+    for s in range(1 << n):
+        gamma, beta, gid = len(anchors[s]), s.bit_count(), state_groups[s]
+        shape = shapes.get((gamma, beta, gid))
         if shape is None:
-            sids, ranks, counts = [], [], {}
+            shape = shapes[gamma, beta, gid] = _Shape(len(shapes), [trivial] * gamma)
+            id_groups = tuple((class_ids[cls], bits) for cls, bits in group_list[gid])
+            for cls, bits in group_list[gid]:
+                for t in range(gamma):
+                    if (bits >> t) & 1:
+                        shape.classes[t] = cls
             for mask in range(1 << gamma):
-                key = (2 * mask.bit_count() - gamma + beta, _grading_key(groups, mask))
+                key = (2 * mask.bit_count() - gamma + beta, _grading_key(id_groups, mask))
                 sid = slice_ids.get(key)
                 if sid is None:
-                    sid = len(slice_keys)
-                    slice_ids[key] = sid
+                    sid = slice_ids[key] = len(slice_keys)
                     slice_keys.append(key)
                     dims.append({})
-                sids.append(sid)
-                ranks.append(counts.get(sid, 0))
-                counts[sid] = ranks[-1] + 1
-            shape = shapes[gamma, beta, groups] = (len(shapes), sids, ranks, counts)
-        bases = {}
-        for sid, cnt in shape[3].items():
-            bases[sid] = dims[sid].get(beta, 0)
-            dims[sid][beta] = bases[sid] + cnt
+                shape.add(sid)
+        bases = []
+        for sid, cnt in zip(shape.slot_of, shape.counts):
+            bases.append(dims[sid].get(beta, 0))
+            dims[sid][beta] = bases[-1] + cnt
         state_shapes.append(shape)
-        state_bases.append(bases)
+        state_bases.append(tuple(bases))
 
     # A map from degree beta to beta + 1 of a slice with more than WIDE_BITS
     # dense bits is wide: the build keeps its recipe and writes no rows.  A
@@ -523,46 +564,45 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
             if cnt * sdims.get(beta + 1, 0) > WIDE_BITS:
                 recipes[beta][sid] = []
     splits: dict[int, tuple[list[int], dict[int, list[int]]]] = {}
-    for (_, beta, _), (shape_id, sids, _, counts) in shapes.items():
-        wide = {sid: [] for sid in counts if sid in recipes[beta]}
+    for (_, beta, _), shape in shapes.items():
+        wide = {sid: [] for sid in shape.slot_of if sid in recipes[beta]}
         if wide:
             narrow = []
-            for mask, sid in enumerate(sids):
+            for mask, sid in enumerate(shape.sids):
                 (wide[sid] if sid in wide else narrow).append(mask)
-            splits[shape_id] = (narrow, wide)
+            splits[shape.id] = (narrow, wide)
 
     # boundary rows by source degree, then slice id.  An out-edge's template
     # is keyed by all that its label images, scatter table and slice check
     # read: both state shapes (which fix the table), the circle indices and
-    # the target bits of the untouched circles.  Per source mask it holds the
-    # OR of 1 << rank of the mask's images in the target state; the check
-    # keeps them all in the mask's slice, so the edge shifts it by the
-    # target's base there.  A zero map's template is empty.
+    # the target bits of the untouched circles.  It holds at 2 * mask the OR
+    # of 1 << rank of the source mask's images in the target state and next
+    # to it the target's slot of the mask's slice; the check keeps every
+    # image in that slice, so the edge shifts the bits by the target's base
+    # in that slot.  A zero map's template is empty.
     di = -n_minus if shift else 0
     dj = n_plus - 2 * n_minus if shift else 0
     mats: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
     label_images = cache(_label_images)
     templates: dict[tuple, list[int]] = {}
-    for s, src in enumerate(resolutions):
-        shape_s, anchors = state_shapes[s], src.anchors
+    for s in range(1 << n):
+        shape_s, owner_s, anchors_s = state_shapes[s], owners[s], anchors[s]
         out_edges = []
         for c in range(n):
             if (s >> c) & 1:
                 continue
             t = s | (1 << c)
-            tgt = resolutions[t]
-            kind, indices = edge_circles(d, src, tgt, c)
-            owner = tgt.owner
-            tbits = [1 << owner[a] for a in anchors]
+            owner_t, shape_t = owners[t], state_shapes[t]
+            kind, indices = edge_circles(d, owner_s, owner_t, s, c)
+            tbits = [1 << owner_t[a] for a in anchors_s]
             tbits[indices[0]] = 0
             if kind == "merge":
                 tbits[indices[1]] = 0
-            shape_t = state_shapes[t]
-            key = (shape_s[0], shape_t[0], kind, indices, tuple(tbits))
+            key = (shape_s.id, shape_t.id, kind, indices, tuple(tbits))
             template = templates.get(key)
             if template is None:
                 template = templates[key] = []
-                table = edge_table(kind, indices, state_classes[s], state_classes[t])
+                table = edge_table(kind, indices, shape_s.classes, shape_t.classes)
                 if table is not None:
                     consumed, images = label_images(kind, indices, table)
                     # scat: source label mask -> target bits of the untouched
@@ -570,8 +610,8 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
                     scat = [0]
                     for b in tbits:
                         scat += [x | b for x in scat]
-                    _, sids_t, ranks_t, _ = shape_t
-                    for mask, sid in enumerate(shape_s[1]):
+                    sids_t, ranks_t, slot_of_t = shape_t.sids, shape_t.ranks, shape_t.slot_of
+                    for mask, sid in enumerate(shape_s.sids):
                         acc = 0
                         for out in images[mask & consumed]:
                             tmask = scat[mask] | out
@@ -582,28 +622,29 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
                                                    f" state {s}, crossing {c}: slice (j={ja},"
                                                    f" h={ha}) -> (j={jb}, h={hb})")
                             acc |= 1 << ranks_t[tmask]
-                        template.append(acc)
+                        template += acc, slot_of_t[sid] if acc else 0
             if template:
-                out_edges.append((template, state_bases[t]))
+                out_edges += template, state_bases[t]
+        out_edges = tuple(out_edges)
         # a narrow map gets this state's rows now, each written once, ORed
         # across the out-edges; a wide one gets its recipe entry
         beta = s.bit_count()
-        _, sids, ranks, _ = shape_s
-        narrow = range(len(sids))
-        if shape_s[0] in splits:
-            narrow, wide = splits[shape_s[0]]
+        narrow = range(len(shape_s.sids))
+        if shape_s.id in splits:
+            narrow, wide = splits[shape_s.id]
             for sid, masks in wide.items():
-                recipes[beta][sid] += masks, sids, out_edges
+                recipes[beta][sid] += masks, out_edges
         if not out_edges:
             continue
         rows, bases_s = mats[beta], state_bases[s]
-        for mask, acc in zip(narrow, _rows([narrow, sids, out_edges])):
+        sids, slot_of, ranks = shape_s.sids, shape_s.slot_of, shape_s.ranks
+        for mask, acc in zip(narrow, _rows([narrow, out_edges])):
             if acc:
                 sid = sids[mask]
                 row = rows.get(sid)
                 if row is None:
                     row = rows[sid] = [0] * dims[sid][beta]
-                row[bases_s[sid] + ranks[mask]] = acc
+                row[bases_s[slot_of[sid]] + ranks[mask]] = acc
 
     # package, applying the orientation shifts to the output gradings
     slices: dict[tuple[int, GradingElem], SliceComplex] = {}

@@ -189,7 +189,7 @@ def cmd_dump_cube(args) -> int:
             if (s >> c) & 1:
                 continue
             t = s | (1 << c)
-            kind, indices = edge_circles(d, src, resolutions[t], c)
+            kind, indices = edge_circles(d, src.owner, resolutions[t].owner, s, c)
             i, j, k = indices
             if kind == "neutral":
                 what = f"neutral {i} -> {k}, differential zero"

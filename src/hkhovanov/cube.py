@@ -18,15 +18,17 @@ merge (two circles become one), a split, or neutral (one circle re-glues to
 one circle); neutral edges only occur when the diagram has no source-sink
 structure.  Every other circle keeps its darts and is matched to the target
 circle that owns its anchor.  That owner-slot decision is made in one place,
-``edge_circles``: ``chain.build_complex`` and the ``dump-cube`` command call
-it directly, walking each state's out-edges by crossing, and
-``classify_edge`` wraps it in a ``CubeEdge`` with the matched pairs for the
-tests and scripts.
+``edge_circles``, which reads only the two owner indices:
+``chain.build_complex`` (which keeps each state's owner index and anchors as
+bytes and drops the resolution) and the ``dump-cube`` command call it
+directly, walking each state's out-edges by crossing, and ``classify_edge``
+wraps it in a ``CubeEdge`` with the matched pairs for the tests and scripts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .diagram import Diagram
 from .words import ConjClass, Word, free_reduce
@@ -143,28 +145,29 @@ class CubeEdge:
         return self.source | (1 << self.crossing)
 
 
-def edge_circles(d: Diagram, src: Resolution, tgt: Resolution,
-                 crossing: int) -> tuple[str, tuple]:
-    """Kind and circle indices (see ``CubeEdge``) of the cube edge from src to
-    tgt, which 1-smoothes ``crossing``, read from the owner slots there."""
+def edge_circles(d: Diagram, src_owner: Sequence[int], tgt_owner: Sequence[int],
+                 state: int, crossing: int) -> tuple[str, tuple]:
+    """Kind and circle indices (see ``CubeEdge``) of the cube edge from
+    ``state`` that 1-smoothes ``crossing``, read from the owner indices of its
+    source and target resolutions at that crossing's slots."""
     # the 0-smoothing joins slots 0 and 1, the 1-smoothing slots 0 and 3
     (e0, _), (e1, _), (e2, _), _ = d.crossings[crossing]
-    i, j = sorted((src.owner[e0], src.owner[e2]))
-    k, m = sorted((tgt.owner[e0], tgt.owner[e1]))
+    i, j = sorted((src_owner[e0], src_owner[e2]))
+    k, m = sorted((tgt_owner[e0], tgt_owner[e1]))
     if i == j and k == m:
         return "neutral", (i, None, k)
     if i == j:
         return "split", (i, k, m)
     if k == m:
         return "merge", (i, j, k)
-    raise RuntimeError(f"corrupted diagram at state {src.state}, crossing {crossing}:"
+    raise RuntimeError(f"corrupted diagram at state {state}, crossing {crossing}:"
                        " 2 circles become 2")
 
 
 def classify_edge(d: Diagram, src: Resolution, tgt: Resolution) -> CubeEdge:
     """Classify the cube edge from src to tgt, which 1-smoothes one more crossing."""
     crossing = (src.state ^ tgt.state).bit_length() - 1
-    kind, indices = edge_circles(d, src, tgt, crossing)
+    kind, indices = edge_circles(d, src.owner, tgt.owner, src.state, crossing)
     # the consumed source circles; a re-glued (neutral) circle keeps its
     # darts, so it is matched too
     changed = indices[:2] if kind == "merge" else indices[:1] if kind == "split" else ()

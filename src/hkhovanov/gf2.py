@@ -79,25 +79,12 @@ class GF2Matrix:
     def rank(self) -> int:
         return rank_of(self.rows)
 
-    def kernel_dim(self) -> int:
-        return self.ncols - self.rank()
-
     def multiply(self, other: "GF2Matrix") -> "GF2Matrix":
         """self @ other, composing self after other would be other-first;
         here rows(self) x cols(other) with self.ncols == other.nrows."""
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in GF(2) product")
         return GF2Matrix(self.nrows, other.ncols, product_rows(self.rows, other.rows))
-
-    def transpose(self) -> "GF2Matrix":
-        cols = [0] * self.ncols
-        for r, row in enumerate(self.rows):
-            x = row
-            while x:
-                low = x & -x
-                cols[low.bit_length() - 1] |= 1 << r
-                x ^= low
-        return GF2Matrix(self.ncols, self.nrows, cols)
 
     def __eq__(self, other) -> bool:
         return (

@@ -53,6 +53,21 @@ def naive_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+def bit_lists(rows: list[int], ncols: int) -> list[list[int]]:
+    """Bit-packed rows (column j = bit j) as lists of 0/1."""
+    return [[(row >> c) & 1 for c in range(ncols)] for row in rows]
+
+
+def kernel_dim(rows: list[int], ncols: int) -> int:
+    """ncols minus the GF(2) rank of the bit-packed rows."""
+    return ncols - naive_rank(bit_lists(rows, ncols))
+
+
+def transpose(rows: list[int], ncols: int) -> list[int]:
+    """Bit-packed rows of the transpose: row c has bit r set where row r has bit c."""
+    return [sum(((row >> c) & 1) << r for r, row in enumerate(rows)) for c in range(ncols)]
+
+
 def rational_rank(rows: list[list[int]]) -> int:
     """Rank over Q, for sanity checks where char 2 does not matter."""
     rows = [[Fraction(x) for x in r] for r in rows]

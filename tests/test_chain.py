@@ -329,6 +329,17 @@ def test_fourteen_crossing_build_and_rank_peak_rss():
     assert r["peak_mb"] < 150, f"peak rss {r['peak_mb']:.0f} MiB"
 
 
+def test_fourteen_crossing_genus_one_homotopical_peak_rss():
+    # the ladder's genus-1 homotopical n = 14 point, in a fresh child: the
+    # build keeps per state its owner index and anchors as bytes, a tuple of
+    # column bases and one flat tuple of out-edges, not a Resolution, a
+    # column-base dict and a tuple per cube edge (which peaked near 67 MiB)
+    r = load_script("memory_ladder").measure(1, "homotopical", 14, None)
+    assert "error" not in r, r
+    assert r["generators"] == 230364
+    assert r["peak_mb"] < 55, f"peak rss {r['peak_mb']:.0f} MiB"
+
+
 @pytest.mark.parametrize("flavor", ["homotopical", "classical"])
 def test_wide_maps_are_recipes_that_read_like_dense_rows(flavor):
     # perf12_genus1 has maps of both kinds: the wide ones (more than

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from hkhovanov.gf2 import GF2Matrix, product_rows, rank_of
 
-from oracles import naive_rank
+from oracles import kernel_dim, naive_rank, transpose
 
 import pytest
 
@@ -22,13 +22,13 @@ def random_matrix(rng: random.Random, nrows: int, ncols: int) -> GF2Matrix:
 
 def test_rank_examples():
     assert GF2Matrix.identity(3).rank() == 3
-    assert GF2Matrix.identity(3).kernel_dim() == 0
+    assert kernel_dim(GF2Matrix.identity(3).rows, 3) == 0
     ones = GF2Matrix(2, 2, [0b11, 0b11])
     assert ones.rank() == 1
-    assert ones.kernel_dim() == 1
+    assert kernel_dim(ones.rows, 2) == 1
     zero = GF2Matrix(4, 7)
     assert zero.rank() == 0
-    assert zero.kernel_dim() == 7
+    assert kernel_dim(zero.rows, 7) == 7
     assert zero.is_zero()
 
 
@@ -40,8 +40,8 @@ def test_rank_matches_oracle_on_200_random_matrices():
         m = random_matrix(rng, nrows, ncols)
         r = m.rank()
         assert r == naive_rank(to_lists(m))
-        assert r == m.transpose().rank()
-        assert m.kernel_dim() == ncols - r
+        assert r == GF2Matrix(ncols, nrows, transpose(m.rows, ncols)).rank()
+        assert kernel_dim(m.rows, ncols) == ncols - r
 
 
 def test_rank_of_reads_a_stream_of_rows_once():
@@ -110,10 +110,10 @@ def test_transpose_is_an_involution():
     for trial in range(24):
         size = 10 if trial < 20 else 90
         m = random_matrix(rng, rng.randrange(0, size), rng.randrange(0, size))
-        t = m.transpose()
+        t = GF2Matrix(m.ncols, m.nrows, transpose(m.rows, m.ncols))
         assert to_lists(t) == [[m.get(r, c) for r in range(m.nrows)]
                                for c in range(m.ncols)]
-        assert t.transpose() == m
+        assert GF2Matrix(m.nrows, m.ncols, transpose(t.rows, t.ncols)) == m
 
 
 def test_in_range_rows_are_kept_without_a_copy():
