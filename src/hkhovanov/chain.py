@@ -374,18 +374,16 @@ def _rows(recipe: list) -> Iterator[int]:
     items per edge (its template, the target's column bases).  A template
     holds at 2 * mask the mask's target bits and at 2 * mask + 1 the slot of
     their target slice; each row is the OR of the out-edges' bits at the
-    mask, shifted by the target's column base in that slot.  Most wide-map
-    entries have one mask, so they read the edges' zip once instead of
-    listing it."""
+    mask, shifted by the target's column base in that slot.  Each row walks
+    the out-edges in pairs."""
     it = iter(recipe)
     for masks, out_edges in zip(it, it):
-        e = iter(out_edges)
-        edges = zip(e, e) if len(masks) == 1 else list(zip(e, e))
         for mask in masks:
             acc = 0
             at = 2 * mask
             slot_at = at + 1
-            for template, bases in edges:
+            e = iter(out_edges)
+            for template, bases in zip(e, e):
                 x = template[at]
                 if x:
                     acc |= x << bases[template[slot_at]]
