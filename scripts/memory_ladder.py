@@ -16,9 +16,10 @@ generator count, build and rank seconds, peak RSS, a sha256 prefix of the
 tsv table and the resident size when the build returned (VmRSS), which
 splits the peak into what the built complex holds and what ranking adds,
 then per genus the largest n whose peak stayed under LIMIT_MB.  A
-point that fails or exceeds the limit ends its genus.  The default top, n = 16,
-is the largest n that fits under LIMIT_MB at every genus (its genus-0 point
-peaks near 700 MiB and takes about a minute to build and rank).
+point that fails or exceeds the limit ends its genus.  The default top is
+n = 16, whose genus-0 point peaks near 610 MiB and takes about half a minute
+to build and rank.  At n = 17 the genus-0 point peaked about 100 MiB under
+LIMIT_MB in a single run, too narrow a margin to make it the default.
 """
 
 import argparse
