@@ -28,11 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 from .cube import circle_classes, edge_circles, resolve
 from .diagram import Diagram, crossing_signs
-from .gf2 import GF2Matrix, product_rows, rank_of
+from .gf2 import GF2Matrix, leads_of, product_rows, rank_of
 from .words import ConjClass, GradingElem
 
 MINUS, PLUS = 0, 1
@@ -368,17 +368,21 @@ def verify_table1() -> Table1Report:
 WIDE_BITS = 1 << 16  # a map with more dense bits than this is kept as a recipe
 
 
-def _rows(recipe: list) -> Iterator[int]:
+def _rows(recipe: list, skip: Container[int]) -> Iterator[int]:
     """Boundary rows from a recipe, a flat list with two items per source
     state: its generators' masks and its out-edges, a flat tuple with two
     items per edge (its template, the target's column bases).  A template
     holds at 2 * mask the mask's target bits and at 2 * mask + 1 the slot of
     their target slice; each row is the OR of the out-edges' bits at the
     mask, shifted by the target's column base in that slot.  Each row walks
-    the out-edges in pairs."""
+    the out-edges in pairs.  The rows at the positions in skip are not made
+    at all: the rest come out in order."""
     it = iter(recipe)
+    first = 0
     for masks, out_edges in zip(it, it):
-        for mask in masks:
+        for k, mask in enumerate(masks, first):
+            if k in skip:
+                continue
             acc = 0
             at = 2 * mask
             slot_at = at + 1
@@ -388,6 +392,7 @@ def _rows(recipe: list) -> Iterator[int]:
                 if x:
                     acc |= x << bases[template[slot_at]]
             yield acc
+        first += len(masks)
 
 
 class BoundaryMap:
@@ -395,7 +400,8 @@ class BoundaryMap:
 
     The recipe lists the map's source states in column order, as `_rows`
     reads them.  `rows` makes the same ints a `GF2Matrix` would hold, on
-    every read; `rank` streams them through `gf2.rank_of`.
+    every read; `rank` streams them through `gf2.rank_of`, and `leads`
+    streams all but the skipped ones through `gf2.leads_of`.
     """
     __slots__ = ("nrows", "ncols", "_recipe")
 
@@ -404,10 +410,14 @@ class BoundaryMap:
 
     @property
     def rows(self) -> list[int]:
-        return list(_rows(self._recipe))
+        return list(_rows(self._recipe, ()))
 
     def rank(self) -> int:
-        return rank_of(_rows(self._recipe))
+        return rank_of(_rows(self._recipe, ()))
+
+    def leads(self, skip: Container[int]) -> set[int]:
+        """Pivot leads of the rows whose index is not in skip; skipped rows are never made."""
+        return leads_of(_rows(self._recipe, skip))
 
     def __repr__(self) -> str:
         return f"BoundaryMap({self.nrows}x{self.ncols})"
@@ -636,7 +646,7 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
             continue
         rows, bases_s = mats[beta], state_bases[s]
         sids, slot_of, ranks = shape_s.sids, shape_s.slot_of, shape_s.ranks
-        for mask, acc in zip(narrow, _rows([narrow, out_edges])):
+        for mask, acc in zip(narrow, _rows([narrow, out_edges], ())):
             if acc:
                 sid = sids[mask]
                 row = rows.get(sid)
@@ -654,7 +664,7 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
             rows = mats[beta].get(sid)
             if rows is not None:
                 smats[beta + di] = GF2Matrix(cnt, ncols, rows)
-            elif sid in recipes[beta] and any(_rows(recipes[beta][sid])):
+            elif sid in recipes[beta] and any(_rows(recipes[beta][sid], ())):
                 smats[beta + di] = BoundaryMap(cnt, ncols, recipes[beta][sid])
         slices[_slice_key(key, dj, class_pool)] = SliceComplex(sdims, smats)
     return ChainComplex(d.genus, flavor, slices)

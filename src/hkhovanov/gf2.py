@@ -1,22 +1,33 @@
 """Dense GF(2) matrices with rows bit-packed into python ints.
 
 Column j of a row is bit j.  Matrices are immutable after construction.
-`rank_of` is the one leading-bit echelon reduction: it reads its rows once,
+`leads_of` is the one leading-bit echelon reduction: it reads its rows once,
 in order, so a caller may stream rows it makes on the fly (chain's wide
-boundary maps do).  `product_rows` composes two row lists.  A row already in
-range is kept as the int it was given, so a matrix shares its rows with its
-builder instead of holding a second copy of each.
+boundary maps do), and hands back the leading columns of its pivots as a set
+of ints; `rank_of` is that set's size.  `product_rows` composes two row
+lists.  A row already in range is kept as the int it was given, so a matrix
+shares its rows with its builder instead of holding a second copy of each.
+
+The leads serve clearing (Chen and Kerber, "Persistent homology computation
+with a twist", EuroCG 2011; Bauer, Kerber and Reininghaus, "Clear and
+compress", 2014).  For maps A, B with A·B = 0, the rank of B is the rank of
+its rows outside A's leads: a pivot p of A is a sum of A's rows, so the sum
+of B's rows at p's set bits is 0, and B's row at p's lead L is the sum of its
+rows at p's lower bits.  The leads are distinct, so in increasing order each
+skipped row is a sum of rows kept.  `GF2Matrix.leads` ranks with a skip set;
+`rank` reads every row.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
-__all__ = ["GF2Matrix", "product_rows", "rank_of"]
+__all__ = ["GF2Matrix", "leads_of", "product_rows", "rank_of"]
 
 
-def rank_of(rows: Iterable[int]) -> int:
-    """Rank over GF(2) of the rows, each read once; only the pivots are kept."""
+def leads_of(rows: Iterable[int]) -> set[int]:
+    """Leading columns of the pivots of the rows, each read once; only the
+    pivots are kept, and only their leads outlive the call."""
     pivots: dict[int, int] = {}
     for row in rows:
         x = row
@@ -27,7 +38,12 @@ def rank_of(rows: Iterable[int]) -> int:
                 pivots[lead] = x
                 break
             x ^= p
-    return len(pivots)
+    return set(pivots)
+
+
+def rank_of(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of the rows, each read once."""
+    return len(leads_of(rows))
 
 
 def product_rows(rows: Iterable[int], other: Sequence[int]) -> list[int]:
@@ -78,6 +94,10 @@ class GF2Matrix:
 
     def rank(self) -> int:
         return rank_of(self.rows)
+
+    def leads(self, skip: Container[int]) -> set[int]:
+        """Pivot leads of the rows whose index is not in skip."""
+        return leads_of(r for k, r in enumerate(self.rows) if k not in skip)
 
     def multiply(self, other: "GF2Matrix") -> "GF2Matrix":
         """self @ other, composing self after other would be other-first;

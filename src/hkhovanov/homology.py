@@ -5,6 +5,16 @@ matrices, so the homology dimension at degree i is
 dim ker(d_i) - rank(d_{i-1}) = dims[i] - rank(d_i) - rank(d_{i-1}).
 The output is a finite table (i, j, h) -> dimension with zero entries
 dropped; over a field that table is the whole invariant.
+
+Each slice's maps are ranked in increasing degree, by clearing: d_i skips
+its rows at the leading columns of d_{i-1}'s pivots (none where degree i - 1
+has no map).  A pivot p of d_{i-1} is a sum of rows of d_{i-1}, so p lies in
+im d_{i-1} and d_i(p) = 0: the row of d_i at p's lead L is the sum of its
+rows at p's lower terms.  Pivots have distinct leads, so in order of L every
+skipped row is a sum of rows kept, and the kept rows still span im d_i.
+This is the clearing of Chen and Kerber, "Persistent homology computation
+with a twist" (EuroCG 2011), and of Bauer, Kerber and Reininghaus, "Clear and
+compress: computing persistent homology in chunks" (2014).
 """
 
 from __future__ import annotations
@@ -42,11 +52,17 @@ class HomologyTable:
 def homology_table(cx: ChainComplex) -> HomologyTable:
     table = HomologyTable(cx.genus, cx.flavor)
     for (j, h), sc in cx.slices.items():
-        ranks = {i: mat.rank() for i, mat in sc.mats.items()}
+        ranks: dict[int, int] = {}
+        for i in sorted(sc.mats):
+            leads = sc.mats[i].leads(leads if i - 1 in ranks else ())
+            ranks[i] = len(leads)
         for i, dim in sc.dims.items():
-            hom = dim - ranks.get(i, 0) - ranks.get(i - 1, 0)
+            r_out, r_in = ranks.get(i, 0), ranks.get(i - 1, 0)
+            hom = dim - r_out - r_in
             if hom < 0:
-                raise RuntimeError("rank bookkeeping produced a negative dimension")
+                raise RuntimeError(f"rank bookkeeping produced a negative dimension at"
+                                   f" (i={i}, j={j}, h={h}):"
+                                   f" dim {dim}, rank d_i {r_out}, rank d_(i-1) {r_in}")
             if hom:
                 table.entries[(i, j, h)] = hom
     return table

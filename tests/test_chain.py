@@ -27,6 +27,7 @@ from hkhovanov.chain import (
 )
 from hkhovanov.cube import circle_classes, cube_edges, resolve
 from hkhovanov.gf2 import GF2Matrix
+from hkhovanov.homology import homology_table
 from hkhovanov.randgen import random_diagram
 from hkhovanov.words import Surface, TRIVIAL_CLASS, ZERO_GRADING
 
@@ -378,6 +379,57 @@ def test_recipe_and_dense_maps_agree_whatever_the_width_cut(monkeypatch):
             recipe_kinds, recipe = maps(d, flavor, 0)
             assert dense == recipe, name
             assert dense_kinds <= {GF2Matrix} and recipe_kinds <= {chain.BoundaryMap}
+
+
+def test_a_row_read_with_a_skip_set_is_the_full_read_without_those_rows():
+    # the rows at skipped positions are not made; the rest come out in order
+    rng = random.Random(41)
+    for flavor in ("homotopical", "classical"):
+        cx = build_complex(corpus("perf12_genus1"), flavor)
+        wide = [m for sc in cx.slices.values() for m in sc.mats.values()
+                if isinstance(m, chain.BoundaryMap)]
+        for m in wide:
+            rows = m.rows
+            for skip in (set(), set(range(m.nrows)), {0, m.nrows - 1},
+                         {k for k in range(m.nrows) if rng.random() < 0.5}):
+                assert list(chain._rows(m._recipe, skip)) == [
+                    row for k, row in enumerate(rows) if k not in skip]
+
+
+@pytest.mark.parametrize("wide_bits", [chain.WIDE_BITS, 0])
+def test_cleared_ranks_are_the_full_ranks(monkeypatch, wide_bits):
+    # homology_table ranks each slice's maps in degree order; d_i skips the
+    # rows at the leads of d_(i-1)'s pivots, or none where degree i - 1 has
+    # no map, and its rank is still that of all its rows.  With WIDE_BITS = 0
+    # every map is a recipe, so both kinds are cleared on every input
+    monkeypatch.setattr(chain, "WIDE_BITS", wide_bits)
+    calls = []
+    for kind in (GF2Matrix, chain.BoundaryMap):
+        def leads(self, skip, real=kind.leads):
+            out = real(self, skip)
+            calls.append((self, skip, out))
+            return out
+        monkeypatch.setattr(kind, "leads", leads)
+    cleared = 0
+    for name, d, opts in matrix_golden_inputs():
+        if opts:
+            continue
+        for flavor in ("homotopical", "classical"):
+            cx = build_complex(d, flavor)
+            calls.clear()
+            homology_table(cx)
+            it = iter(calls)
+            for sc in cx.slices.values():
+                prev_i, prev = None, set()
+                for i in sorted(sc.mats):
+                    mat, skip, leads = next(it)
+                    assert mat is sc.mats[i]
+                    assert set(skip) == (prev if prev_i == i - 1 else set())
+                    assert len(leads) == mat.rank(), (name, flavor, i)
+                    cleared += len(skip)
+                    prev_i, prev = i, leads
+            assert next(it, None) is None
+    assert cleared > 10000
 
 
 def test_build_traces_each_state_once_and_classifies_from_owner_slots(monkeypatch):

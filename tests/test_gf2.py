@@ -4,7 +4,7 @@ import random
 
 from hypothesis import given, strategies as st
 
-from hkhovanov.gf2 import GF2Matrix, product_rows, rank_of
+from hkhovanov.gf2 import GF2Matrix, leads_of, product_rows, rank_of
 
 from oracles import kernel_dim, naive_rank, transpose
 
@@ -50,6 +50,50 @@ def test_rank_of_reads_a_stream_of_rows_once():
     for _ in range(50):
         m = random_matrix(rng, rng.randrange(0, 40), rng.randrange(0, 40))
         assert rank_of(iter(m.rows)) == m.rank() == naive_rank(to_lists(m))
+
+
+def left_kernel(rows: list[int]) -> list[int]:
+    """A basis of the vectors v (bit t picks row t) whose picked rows XOR to 0."""
+    pivots: dict[int, tuple[int, int]] = {}
+    basis = []
+    for t, row in enumerate(rows):
+        x, v = row, 1 << t
+        while x:
+            lead = x.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = x, v
+                break
+            px, pv = pivots[lead]
+            x, v = x ^ px, v ^ pv
+        else:
+            basis.append(v)
+    return basis
+
+
+def test_clearing_keeps_the_rank_of_the_next_map():
+    # for A·B = 0, a pivot of A with lead L is a sum of A's rows, so B's row
+    # L is the sum of B's rows at the pivot's lower bits: B ranked without
+    # its rows at A's leads has B's rank
+    rng = random.Random(5)
+    cleared = 0
+    for _ in range(200):
+        k, r, n = rng.randrange(1, 40), rng.randrange(0, 12), rng.randrange(0, 30)
+        # B of rank at most r, so its left kernel has dimension k - rank(B)
+        b = random_matrix(rng, k, r).multiply(random_matrix(rng, r, n))
+        kernel = left_kernel(b.rows)
+        a_rows = []
+        for _ in range(rng.randrange(0, 30)):
+            acc = 0
+            for v in kernel:
+                acc ^= v if rng.getrandbits(1) else 0
+            a_rows.append(acc)
+        a = GF2Matrix(len(a_rows), k, a_rows)
+        assert a.multiply(b).is_zero()
+        leads = leads_of(a.rows)
+        assert type(leads) is set and len(leads) == a.rank() == rank_of(a.rows)
+        assert len(b.leads(leads)) == b.rank() == naive_rank(to_lists(b))
+        cleared += len(leads)
+    assert cleared > 1000
 
 
 def test_product_rows_is_the_product_of_row_lists():

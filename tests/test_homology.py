@@ -2,8 +2,10 @@
 
 import json
 
+import pytest
+
 from hkhovanov import chain
-from hkhovanov.chain import build_complex
+from hkhovanov.chain import ChainComplex, SliceComplex, build_complex
 from hkhovanov.cube import resolve
 from hkhovanov.homology import (
     HomologyTable,
@@ -16,6 +18,7 @@ from hkhovanov.homology import (
     render_h,
 )
 from hkhovanov.diagram import Diagram, mirror, reverse_orientation
+from hkhovanov.gf2 import GF2Matrix
 from hkhovanov.randgen import random_diagram_stream
 from hkhovanov.words import Surface, ZERO_GRADING, invert_word, parse_word
 
@@ -82,6 +85,16 @@ def test_classical_matches_brute_force_oracle():
     for name in ("kink_minus", "clasp_plus"):
         d = corpus(name)
         assert ij(kh_classical(d)) == classical_khovanov(d), name
+
+
+def test_a_negative_dimension_names_the_site():
+    # a slot of dimension 1 under a rank-2 map: dims too small for the maps
+    sc = SliceComplex({0: 1, 1: 2}, {0: GF2Matrix.identity(2)})
+    cx = ChainComplex(1, "homotopical", {(3, grading_term(SURF1.canonical_class((1,)), 2)): sc})
+    with pytest.raises(RuntimeError) as err:
+        homology_table(cx)
+    assert str(err.value) == ("rank bookkeeping produced a negative dimension at"
+                              " (i=0, j=3, h=2*[a1]): dim 1, rank d_i 2, rank d_(i-1) 0")
 
 
 def test_euler_characteristic_consistency():
