@@ -17,9 +17,9 @@ tsv table and the resident size when the build returned (VmRSS), which
 splits the peak into what the built complex holds and what ranking adds,
 then per genus the largest n whose peak stayed under LIMIT_MB.  A
 point that fails or exceeds the limit ends its genus.  The default top is
-n = 16, whose genus-0 point peaks near 610 MiB and takes about half a minute
-to build and rank.  At n = 17 the genus-0 point peaked about 100 MiB under
-LIMIT_MB in a single run, too narrow a margin to make it the default.
+n = 16, whose genus-0 point peaks near 615 MiB and takes about 7 s to build
+and rank.  At n = 17 the genus-0 point peaked about 90 MiB under LIMIT_MB in
+a single run, too narrow a margin to make it the default.
 """
 
 import argparse
