@@ -22,6 +22,15 @@ The differential preserves the grading slice, so each slice's boundary maps
 are separate GF(2) matrices.  A narrow one is a `GF2Matrix` of dense rows;
 a wide one (more than WIDE_BITS dense bits) is a `BoundaryMap` that keeps
 the recipe of its rows and makes them when they are read.
+
+On a surface with many classes the homotopical grading cuts the cube into
+thousands of small slices, so the bookkeeping is per grading, not per slice:
+a slice's grading key and its (class id, coeff) pairs are interned when the
+slice is first met, and packaging makes one `GradingElem` per distinct
+grading and one term tuple per distinct pair, shared by every slice that has
+them.  The build state (templates, per-state arrays, the shape table) is
+released before packaging, and each slice's build dims and rows as soon as
+the slice is packaged.
 """
 
 from __future__ import annotations
@@ -423,7 +432,7 @@ class BoundaryMap:
         return f"BoundaryMap({self.nrows}x{self.ncols})"
 
 
-@dataclass
+@dataclass(slots=True)
 class SliceComplex:
     """One (quantum, class-weighted) grading slice: dims and boundary maps by degree."""
     dims: dict[int, int]
@@ -431,7 +440,7 @@ class SliceComplex:
     mats: dict[int, GF2Matrix | BoundaryMap]
 
 
-@dataclass
+@dataclass(slots=True)
 class ChainComplex:
     genus: int
     flavor: str
@@ -533,6 +542,10 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
     # column state_bases[s][slot] + rank.
     slice_ids: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
     slice_keys: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+    # a new slice id interns its grading key and (class id, coeff) pairs, so
+    # slices that differ only in j share them
+    hkeys: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
     dims: list[dict[int, int]] = []
     shapes: dict[tuple[int, int, int], _Shape] = {}
     state_shapes: list[_Shape] = []
@@ -551,6 +564,12 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
                 key = (2 * mask.bit_count() - gamma + beta, _grading_key(id_groups, mask))
                 sid = slice_ids.get(key)
                 if sid is None:
+                    j, hkey = key
+                    shared = hkeys.get(hkey)
+                    if shared is None:
+                        shared = tuple(pairs.setdefault(p, p) for p in hkey)
+                        hkeys[shared] = shared
+                    key = j, shared
                     sid = slice_ids[key] = len(slice_keys)
                     slice_keys.append(key)
                     dims.append({})
@@ -654,19 +673,27 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
                     row = rows[sid] = [0] * dims[sid][beta]
                 row[bases_s[slot_of[sid]] + ranks[mask]] = acc
 
-    # package, applying the orientation shifts to the output gradings
+    # package, applying the orientation shifts to the output gradings, once
+    # the build state is released (a wide map's recipe holds on to its own
+    # templates and bases)
+    del owners, anchors, state_groups, group_index, group_list, class_ids
+    del shapes, state_shapes, state_bases, slice_ids, splits, templates, label_images
+    terms = {p: (class_pool[p[0]], p[1]) for p in pairs}
+    gradings = {hkey: GradingElem(tuple(map(terms.__getitem__, hkey))) for hkey in hkeys}
+    del pairs, hkeys, terms
     slices: dict[tuple[int, GradingElem], SliceComplex] = {}
-    for sid, key in enumerate(slice_keys):
-        sdims = {beta + di: cnt for beta, cnt in dims[sid].items()}
+    for sid, (j, hkey) in enumerate(slice_keys):
+        sdims, dims[sid] = dims[sid], None
         smats: dict[int, GF2Matrix | BoundaryMap] = {}
-        for beta, cnt in dims[sid].items():
-            ncols = dims[sid].get(beta + 1, 0)
-            rows = mats[beta].get(sid)
+        for beta, cnt in sdims.items():
+            ncols = sdims.get(beta + 1, 0)
+            rows = mats[beta].pop(sid, None)
             if rows is not None:
                 smats[beta + di] = GF2Matrix(cnt, ncols, rows)
-            elif sid in recipes[beta] and any(_rows(recipes[beta][sid], ())):
-                smats[beta + di] = BoundaryMap(cnt, ncols, recipes[beta][sid])
-        slices[_slice_key(key, dj, class_pool)] = SliceComplex(sdims, smats)
+            elif (recipe := recipes[beta].pop(sid, None)) is not None and any(_rows(recipe, ())):
+                smats[beta + di] = BoundaryMap(cnt, ncols, recipe)
+        slices[j + dj, gradings[hkey]] = SliceComplex(
+            {beta + di: cnt for beta, cnt in sdims.items()}, smats)
     return ChainComplex(d.genus, flavor, slices)
 
 

@@ -27,7 +27,8 @@ __all__ = ["GF2Matrix", "leads_of", "product_rows", "rank_of"]
 
 def leads_of(rows: Iterable[int]) -> set[int]:
     """Leading columns of the pivots of the rows, each read once; only the
-    pivots are kept, and only their leads outlive the call."""
+    pivots are kept, and only their leads outlive the call.  Each pivot is
+    dropped before the set of leads is made, so the two never coexist."""
     pivots: dict[int, int] = {}
     for row in rows:
         x = row
@@ -38,6 +39,8 @@ def leads_of(rows: Iterable[int]) -> set[int]:
                 pivots[lead] = x
                 break
             x ^= p
+    for lead in pivots:
+        pivots[lead] = 0
     return set(pivots)
 
 

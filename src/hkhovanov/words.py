@@ -257,9 +257,13 @@ def _hyperbolic_class_word(w: Word, genus: int) -> Word:
                     queue.append(v)
             if seed is not None:
                 break
-    # the key of a rotation is the rotation of the key: key each word once
-    return min(((m, ku[r:] + ku[:r]), u[r:] + u[:r])
-               for u in pool for m, ku in (word_key(u),) for r in range(max(1, m)))[1]
+    # the key of a rotation is the rotation of the key: key each word once.
+    # Letters have distinct keys, so only a rotation that starts at its
+    # word's least letter can be least
+    rotations = [((m, ku[r:] + ku[:r]), u[r:] + u[:r])
+                 for u in pool for m, ku in (word_key(u),) for lo in (min(ku, default=0),)
+                 for r in range(m) if ku[r] == lo]
+    return min(rotations)[1] if rotations else ()
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 import collections
 import contextlib
 import hashlib
+import itertools
 import json
 import pathlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -28,7 +30,7 @@ from hkhovanov.chain import (
 from hkhovanov.cube import circle_classes, cube_edges, resolve
 from hkhovanov.gf2 import GF2Matrix
 from hkhovanov.homology import homology_table
-from hkhovanov.randgen import random_diagram
+from hkhovanov.randgen import random_diagram, random_diagram_stream
 from hkhovanov.words import Surface, TRIVIAL_CLASS, ZERO_GRADING
 
 from helpers import CORPUS_NAMES, corpus, load_script
@@ -472,6 +474,31 @@ def test_build_makes_one_template_per_state_shape_and_edge_shape(monkeypatch):
     assert build_complex(corpus("perf12_genus1")).total_dim() == 45456
     assert counts == {"_grading_key": 2500, "edge_table": 804}
     assert counts["_grading_key"] < 45456
+
+
+def test_a_many_slice_build_shares_each_grading_and_term_once():
+    # diagram 228 of the fuzz_mixed stream (pinned by
+    # tests/golden/random_streams.json): genus 1, 8 crossings, 9,072
+    # generators in 4,632 homotopical slices.  Slices with equal h share one
+    # GradingElem, equal terms one tuple, and the build state is dropped
+    # before packaging; with a grading per slice and the build state alive
+    # the build peaked at 8.98 MiB under tracemalloc
+    stream = random_diagram_stream(0, 300, max_crossings=8, max_genus=3, max_word_len=4)
+    d = next(itertools.islice(stream, 228, None))
+    tracemalloc.start()
+    try:
+        cx = build_complex(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (d.genus, d.n_crossings, cx.total_dim(), len(cx.slices)) == (1, 8, 9072, 4632)
+    assert peak < 6 << 20, f"build peak {peak / (1 << 20):.2f} MiB"
+    gradings, terms = {}, {}
+    for _, h in cx.slices:
+        assert gradings.setdefault(h, h) is h
+        for term in h.terms:
+            assert terms.setdefault(term, term) is term
+    assert len(gradings) < len(cx.slices)
 
 
 def row_oracle_inputs():
