@@ -37,12 +37,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from operator import itemgetter
 from typing import Container, Iterable, Iterator
 
-from .cube import circle_classes, edge_circles, resolve
+from .cube import edge_circles, resolve
 from .diagram import Diagram, crossing_signs
 from .gf2 import GF2Matrix, leads_of, product_rows, rank_of
-from .words import ConjClass, GradingElem
+from .words import TRIVIAL_CLASS, ConjClass, GradingElem, Word, free_reduce
 
 MINUS, PLUS = 0, 1
 
@@ -510,29 +511,41 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
 
     # read each resolution once, straight into its state's owner index and
     # anchors (bytes: a state with 256 circles would have 2^256 generators)
-    # and its class groups, (class, bit mask of its circles) per nontrivial
-    # class in class order, interned by index.  The classical flavor takes
-    # every circle as trivial.
+    # and its class groups, (class id, bit mask of its circles) per
+    # nontrivial class, interned by index.  Each distinct circle word is
+    # classed once per build: word_ids gives its class's id in order of first
+    # sight, or -1 for the trivial class.  The classical flavor takes every
+    # circle as trivial.
     owners: list[bytes] = []
     anchors: list[bytes] = []
     state_groups: list[int] = []
-    group_index: dict[tuple[tuple[ConjClass, int], ...], int] = {(): 0}
+    group_index: dict[tuple[tuple[int, int], ...], int] = {(): 0}
+    word_ids: dict[Word, int] = {}
+    seen_ids: dict[ConjClass, int] = {}
     for s in range(1 << n):
         res = resolve(d, s)
         owners.append(bytes(res.owner))
         anchors.append(bytes(res.anchors))
-        groups: dict[ConjClass, int] = {}
+        groups: dict[int, int] = {}
         if homotopical:
-            for t, cls in enumerate(circle_classes(d, res)):
-                if not cls.is_trivial:
-                    groups[cls] = groups.get(cls, 0) | (1 << t)
+            for t, circle in enumerate(res.circles):
+                cid = word_ids.get(circle.word)
+                if cid is None:
+                    cls = d.surface.canonical_class(free_reduce(circle.word))
+                    cid = word_ids[circle.word] = (
+                        -1 if cls.is_trivial else seen_ids.setdefault(cls, len(seen_ids)))
+                if cid >= 0:
+                    groups[cid] = groups.get(cid, 0) | (1 << t)
         state_groups.append(group_index.setdefault(tuple(sorted(groups.items())),
                                                    len(group_index)))
-    # the nontrivial classes get ids in class order, so slice keys come out sorted
-    class_pool = sorted({cls for groups in group_index for cls, _ in groups})
-    class_ids = {cls: cid for cid, cls in enumerate(class_pool)}
-    group_list = list(group_index)
-    trivial = d.surface.canonical_class(())
+    del word_ids
+    # renumber the nontrivial classes in class order, so slice keys come out sorted
+    class_pool = sorted(seen_ids)
+    order = {cls: cid for cid, cls in enumerate(class_pool)}
+    remap = [order[cls] for cls in seen_ids]
+    del seen_ids, order
+    group_list = [tuple(sorted((remap[cid], bits) for cid, bits in groups))
+                  for groups in group_index]
 
     # enumerate generators by state shape (γ, β, class groups), which fixes
     # every mask's slice key.  The first state of a shape gives each mask its
@@ -554,12 +567,12 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
         gamma, beta, gid = len(anchors[s]), s.bit_count(), state_groups[s]
         shape = shapes.get((gamma, beta, gid))
         if shape is None:
-            shape = shapes[gamma, beta, gid] = _Shape(len(shapes), [trivial] * gamma)
-            id_groups = tuple((class_ids[cls], bits) for cls, bits in group_list[gid])
-            for cls, bits in group_list[gid]:
+            shape = shapes[gamma, beta, gid] = _Shape(len(shapes), [TRIVIAL_CLASS] * gamma)
+            id_groups = group_list[gid]
+            for cid, bits in id_groups:
                 for t in range(gamma):
                     if (bits >> t) & 1:
-                        shape.classes[t] = cls
+                        shape.classes[t] = class_pool[cid]
             for mask in range(1 << gamma):
                 key = (2 * mask.bit_count() - gamma + beta, _grading_key(id_groups, mask))
                 sid = slice_ids.get(key)
@@ -602,7 +615,11 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
     # boundary rows by source degree, then slice id.  An out-edge's template
     # is keyed by all that its label images, scatter table and slice check
     # read: both state shapes (which fix the table), the circle indices and
-    # the target bits of the untouched circles.  It holds at 2 * mask the OR
+    # the target slots of the untouched circles.  The key holds the target
+    # slot of every source anchor, gathered in one call; the consumed
+    # circles' slots follow from kind and indices (see cube.py), so this
+    # makes no more templates.  The untouched circles' target bits are made
+    # only when a template is.  A template holds at 2 * mask the OR
     # of 1 << rank of the source mask's images in the target state and next
     # to it the target's slot of the mask's slice; the check keeps every
     # image in that slice, so the edge shifts the bits by the target's base
@@ -612,26 +629,30 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
     mats: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
     label_images = cache(_label_images)
     templates: dict[tuple, list[int]] = {}
+    crossing_bits = [(c, 1 << c) for c in range(n)]
     for s in range(1 << n):
         shape_s, owner_s, anchors_s = state_shapes[s], owners[s], anchors[s]
+        # reads the target slot of every source circle's anchor, an int when
+        # γ = 1 (with a crossing, every state has a circle)
+        gather = itemgetter(*anchors_s) if n else None
         out_edges = []
-        for c in range(n):
-            if (s >> c) & 1:
+        for c, bit in crossing_bits:
+            if s & bit:
                 continue
-            t = s | (1 << c)
+            t = s | bit
             owner_t, shape_t = owners[t], state_shapes[t]
             kind, indices = edge_circles(d, owner_s, owner_t, s, c)
-            tbits = [1 << owner_t[a] for a in anchors_s]
-            tbits[indices[0]] = 0
-            if kind == "merge":
-                tbits[indices[1]] = 0
-            key = (shape_s.id, shape_t.id, kind, indices, tuple(tbits))
+            key = (shape_s.id, shape_t.id, kind, indices, gather(owner_t))
             template = templates.get(key)
             if template is None:
                 template = templates[key] = []
                 table = edge_table(kind, indices, shape_s.classes, shape_t.classes)
                 if table is not None:
                     consumed, images = label_images(kind, indices, table)
+                    tbits = [1 << owner_t[a] for a in anchors_s]
+                    tbits[indices[0]] = 0
+                    if kind == "merge":
+                        tbits[indices[1]] = 0
                     # scat: source label mask -> target bits of the untouched
                     # circles, each at the target position owning its anchor
                     scat = [0]
@@ -676,7 +697,7 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
     # package, applying the orientation shifts to the output gradings, once
     # the build state is released (a wide map's recipe holds on to its own
     # templates and bases)
-    del owners, anchors, state_groups, group_index, group_list, class_ids
+    del owners, anchors, state_groups, group_index, group_list
     del shapes, state_shapes, state_bases, slice_ids, splits, templates, label_images
     terms = {p: (class_pool[p[0]], p[1]) for p in pairs}
     gradings = {hkey: GradingElem(tuple(map(terms.__getitem__, hkey))) for hkey in hkeys}

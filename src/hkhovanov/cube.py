@@ -18,11 +18,19 @@ merge (two circles become one), a split, or neutral (one circle re-glues to
 one circle); neutral edges only occur when the diagram has no source-sink
 structure.  Every other circle keeps its darts and is matched to the target
 circle that owns its anchor.  That owner-slot decision is made in one place,
-``edge_circles``, which reads only the two owner indices:
+``edge_circles``, which reads only the two owner indices at the crossing's
+slot edges (``Diagram.slot_edges``, built once per diagram):
 ``chain.build_complex`` (which keeps each state's owner index and anchors as
 bytes and drops the resolution) and the ``dump-cube`` command call it
 directly, walking each state's out-edges by crossing, and ``classify_edge``
 wraps it in a ``CubeEdge`` with the matched pairs for the tests and scripts.
+
+The least-edge order fixes more than the untouched circles' relative order:
+a consumed circle's anchor lands at a target slot given by the kind and
+indices alone (a merge's two at k; a split's at j, the piece holding the
+least edge; a neutral edge's at k).  So the target slots of all the source
+anchors, which the build keys its edge templates by, tell no more edges
+apart than those of the untouched circles would.
 """
 
 from __future__ import annotations
@@ -151,9 +159,13 @@ def edge_circles(d: Diagram, src_owner: Sequence[int], tgt_owner: Sequence[int],
     ``state`` that 1-smoothes ``crossing``, read from the owner indices of its
     source and target resolutions at that crossing's slots."""
     # the 0-smoothing joins slots 0 and 1, the 1-smoothing slots 0 and 3
-    (e0, _), (e1, _), (e2, _), _ = d.crossings[crossing]
-    i, j = sorted((src_owner[e0], src_owner[e2]))
-    k, m = sorted((tgt_owner[e0], tgt_owner[e1]))
+    e0, e1, e2 = d.slot_edges[crossing]
+    i, j = src_owner[e0], src_owner[e2]
+    if i > j:
+        i, j = j, i
+    k, m = tgt_owner[e0], tgt_owner[e1]
+    if k > m:
+        k, m = m, k
     if i == j and k == m:
         return "neutral", (i, None, k)
     if i == j:

@@ -86,6 +86,11 @@ class Diagram:
                 steps.append((c, leave[s ^ 1], leave[3 - s], w, (e, direction)))
         return tuple(steps)
 
+    @cached_property
+    def slot_edges(self) -> tuple[tuple[int, int, int], ...]:
+        """Per crossing, the edges at its slots 0, 1 and 2."""
+        return tuple((a[0], b[0], c[0]) for a, b, c, _ in self.crossings)
+
     @property
     def n_crossings(self) -> int:
         return len(self.crossings)

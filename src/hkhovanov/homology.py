@@ -148,21 +148,27 @@ def poincare_report(table: HomologyTable, fmt: str = "text",
     """
     items = table.sorted_items()
     names = _ClassNames(table.genus)  # each class is spelled once per report
+    # text and tsv: the sorted items are dropped once their lines exist, and
+    # an empty last line makes the final newline, so the text is joined once
     if fmt == "text":
         lines = [f"# flavor={table.flavor} genus={table.genus}"]
         if meta:
             lines += [f"# {k}={v}" for k, v in sorted(meta.items())]
         lines += [f"({i},{j},{_render(h, names)}) : {dim}"
                   for (i, j, h), dim in items]
+        del items
         lines.append(f"# total dimension {table.total_dim()}")
         if table.genus == 1:
             lines += [f"# {name} = {pq}" for name, pq in _legend(names)]
-        return "\n".join(lines) + "\n"
+        lines.append("")
+        return "\n".join(lines)
     if fmt == "tsv":
         lines = ["i\tj\th\tdim"]
         lines += [f"{i}\t{j}\t{_render(h, names)}\t{dim}"
                   for (i, j, h), dim in items]
-        return "\n".join(lines) + "\n"
+        del items
+        lines.append("")
+        return "\n".join(lines)
     if fmt == "json":
         doc = dict(meta or {})
         doc["flavor"] = table.flavor

@@ -462,7 +462,8 @@ def test_build_makes_one_template_per_state_shape_and_edge_shape(monkeypatch):
     # perf12_genus1, homotopical: 4,096 states and 45,456 generators, but
     # their slice keys are made once per state shape (γ, β, class groups),
     # 2,500 masks in all; the table is dispatched once per edge template,
-    # 804 of the 24,576 cube edges
+    # 804 of the 24,576 cube edges.  The classical flavor has fewer shapes:
+    # 1,116 masks and 349 edge templates
     counts = collections.Counter()
     for name in ("_grading_key", "edge_table"):
         real = getattr(chain, name)
@@ -471,9 +472,27 @@ def test_build_makes_one_template_per_state_shape_and_edge_shape(monkeypatch):
             counts[name] += 1
             return real(*args)
         monkeypatch.setattr(chain, name, counted)
-    assert build_complex(corpus("perf12_genus1")).total_dim() == 45456
+    d = corpus("perf12_genus1")
+    assert build_complex(d).total_dim() == 45456
     assert counts == {"_grading_key": 2500, "edge_table": 804}
     assert counts["_grading_key"] < 45456
+    counts.clear()
+    assert build_complex(d, "classical").total_dim() == 45456
+    assert counts == {"_grading_key": 1116, "edge_table": 349}
+
+
+def test_build_classes_each_distinct_circle_word_once(monkeypatch):
+    # perf12_genus1 traces 12,070 circles in its 4,096 states, but only two
+    # distinct words, so the homotopical build classes each word once
+    calls = []
+    real = Surface.canonical_class
+
+    def counted(self, w):
+        calls.append(w)
+        return real(self, w)
+    monkeypatch.setattr(Surface, "canonical_class", counted)
+    assert build_complex(corpus("perf12_genus1")).total_dim() == 45456
+    assert len(calls) <= 3
 
 
 def test_a_many_slice_build_shares_each_grading_and_term_once():

@@ -135,7 +135,10 @@ def test_supports_partition_the_edge_set():
 
 def test_cube_edge_bookkeeping():
     # the corpus adds crossing-free, neutral and multi-circle inputs; the
-    # supports are the independent oracle for the owner-index classifier
+    # supports are the independent oracle for the owner-index classifier.
+    # Under the least-edge circle order the untouched circles keep their
+    # relative order, and a consumed circle's anchor lands in the target at a
+    # slot fixed by kind and indices, which the build's edge templates rely on
     inputs = small_random_diagrams(count=20) + [
         corpus(name) for name in CORPUS_NAMES if name != "perf12_genus1"]
     for d in inputs:
@@ -152,14 +155,19 @@ def test_cube_edge_bookkeeping():
                 assert src.circles[a].loop == tgt.circles[b].loop
                 touched_src.discard(a)
                 touched_tgt.discard(b)
+            assert [b for _, b in sorted(e.unchanged)] == sorted(b for _, b in e.unchanged)
+            consumed = e.indices[:2] if e.kind == "merge" else e.indices[:1]
+            landed = [tgt.owner[src.anchors[p]] for p in consumed]
             if e.kind == "merge":
                 i, j, k = e.indices
                 assert touched_src == {i, j} and touched_tgt == {k}
+                assert landed == [k, k]
                 assert support(src.circles[i]) | support(src.circles[j]) \
                     == support(tgt.circles[k])
             elif e.kind == "split":
                 i, j, k = e.indices
                 assert touched_src == {i} and touched_tgt == {j, k}
+                assert landed == [j]
                 assert support(src.circles[i]) \
                     == support(tgt.circles[j]) | support(tgt.circles[k])
             else:
@@ -168,6 +176,7 @@ def test_cube_edge_bookkeeping():
                 i, none, k = e.indices
                 assert none is None
                 assert touched_src == set() and touched_tgt == set()
+                assert landed == [k]
                 assert dict(e.unchanged)[i] == k
                 assert support(src.circles[i]) == support(tgt.circles[k])
 

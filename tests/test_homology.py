@@ -1,6 +1,8 @@
 """Homology tables: exact values, symmetries, reporting."""
 
+import itertools
 import json
+import tracemalloc
 
 import pytest
 
@@ -207,6 +209,23 @@ def test_poincare_report_formats():
     empty = HomologyTable(0, "classical")
     body = poincare_report(empty, "text")
     assert "# total dimension 0" in body
+
+
+def test_a_long_report_is_joined_once():
+    # diagram 151 of the fuzz_mixed stream (pinned by
+    # tests/golden/random_streams.json): a 378,513-character tsv report.
+    # With the sorted items alive and the joined text copied once more to
+    # add the final newline, the report peaked at 1.65 MiB under tracemalloc
+    stream = random_diagram_stream(0, 300, max_crossings=8, max_genus=3, max_word_len=4)
+    table = kh_h(next(itertools.islice(stream, 151, None)))
+    tracemalloc.start()
+    try:
+        tsv = poincare_report(table, "tsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tsv) == 378513 and tsv.endswith("\n") and not tsv.endswith("\n\n")
+    assert peak < 1.4 * (1 << 20), f"report peak {peak / (1 << 20):.2f} MiB"
 
 
 def test_reports_are_deterministic():

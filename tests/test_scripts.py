@@ -47,3 +47,17 @@ def test_memory_ladder_runs():
     assert lines[7:] == [f"largest n under 2048 MiB: genus {g} {f}: 6"
                          for g, f in (("0", "classical"), ("1", "homotopical"),
                                       ("2", "homotopical"))]
+
+
+def test_inprocess_ab_runs():
+    # one repetition of this checkout against itself: the two copies must
+    # make equal reports, and both sides are timed
+    root = str(SCRIPTS.parent)
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "inprocess_ab.py"), root, root,
+                           "--reps", "1"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert (out["workload"], out["reps"]) == ("braid_g1_12", 1)
+    for side in ("a", "b"):
+        assert 0 < out[side]["q1"] <= out[side]["median"] <= out[side]["q3"]
+    assert out["ratio_b_over_a_median"] > 0 and out["b_faster"] in (0, 1)
