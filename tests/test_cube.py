@@ -138,7 +138,8 @@ def test_cube_edge_bookkeeping():
     # supports are the independent oracle for the owner-index classifier.
     # Under the least-edge circle order the untouched circles keep their
     # relative order, and a consumed circle's anchor lands in the target at a
-    # slot fixed by kind and indices, which the build's edge templates rely on
+    # slot fixed by kind and indices, so keying the build's edge templates by
+    # every anchor's target slot makes no more templates
     inputs = small_random_diagrams(count=20) + [
         corpus(name) for name in CORPUS_NAMES if name != "perf12_genus1"]
     for d in inputs:

@@ -211,6 +211,13 @@ def test_poincare_report_formats():
     assert "# total dimension 0" in body
 
 
+def test_the_empty_diagram_has_one_generator():
+    # its one state has no circle, so there is no anchor to gather
+    d = Diagram(0, (), (), ())
+    for table in (kh_h(d), kh_classical(d)):
+        assert table.entries == {(0, 0, ZERO_GRADING): 1}
+
+
 def test_a_long_report_is_joined_once():
     # diagram 151 of the fuzz_mixed stream (pinned by
     # tests/golden/random_streams.json): a 378,513-character tsv report.

@@ -1,5 +1,5 @@
-"""Smoke tests for scripts/: corpus regeneration, the fuzz driver, the search
-and the memory ladder."""
+"""Smoke tests for scripts/: corpus regeneration, the fuzz script, the search,
+the memory ladder and the in-process A/B timer."""
 
 import json
 import subprocess
