@@ -19,9 +19,11 @@ Edges whose two resolutions have the same circle count contribute nothing
 in either flavor.
 
 The differential preserves the grading slice, so each slice's boundary maps
-are separate GF(2) matrices.  A narrow one is a `GF2Matrix` of dense rows;
-a wide one (more than WIDE_BITS dense bits) is a `BoundaryMap` that keeps
-the recipe of its rows and makes them when they are read.
+are separate GF(2) matrices.  The build collects one recipe per map, the
+source states' masks and out-edges in column order, and packaging picks the
+form by width: a narrow map becomes a `GF2Matrix` of the dense rows read
+from its recipe once, a wide one (more than WIDE_BITS dense bits) a
+`BoundaryMap` that keeps the recipe and makes the rows when they are read.
 
 On a surface with many classes the homotopical grading cuts the cube into
 thousands of small slices, so the bookkeeping is per grading, not per slice:
@@ -410,8 +412,9 @@ class BoundaryMap:
 
     The recipe lists the map's source states in column order, as `_rows`
     reads them.  `rows` makes the same ints a `GF2Matrix` would hold, on
-    every read; `rank` streams them through `gf2.rank_of`, and `leads`
-    streams all but the skipped ones through `gf2.leads_of`.
+    every read; `is_zero` stops at the first nonzero row, `rank` streams
+    them through `gf2.rank_of`, and `leads` streams all but the skipped ones
+    through `gf2.leads_of`.
     """
     __slots__ = ("nrows", "ncols", "_recipe")
 
@@ -421,6 +424,9 @@ class BoundaryMap:
     @property
     def rows(self) -> list[int]:
         return list(_rows(self._recipe, ()))
+
+    def is_zero(self) -> bool:
+        return not any(_rows(self._recipe, ()))
 
     def rank(self) -> int:
         return rank_of(_rows(self._recipe, ()))
@@ -462,11 +468,10 @@ def _grading_key(nontrivial: tuple[tuple[int, int], ...],
     return tuple(out)
 
 
-def _slice_key(key: tuple[int, tuple[tuple[int, int], ...]], dj: int,
-               class_pool: list[ConjClass]) -> tuple[int, GradingElem]:
-    """Output slice key (shifted j, grading) of a (j, class id key) pair."""
-    j, hkey = key
-    return j + dj, GradingElem(tuple((class_pool[cid], coeff) for cid, coeff in hkey))
+def _grading(hkey: tuple[tuple[int, int], ...], term) -> GradingElem:
+    """The grading of a class-id key, term mapping each (class id, coeff)
+    pair to its (class, coeff) term; the terms are sorted by class."""
+    return GradingElem(tuple(sorted(map(term, hkey))))
 
 
 class _Shape:
@@ -474,26 +479,26 @@ class _Shape:
 
     Per mask: its slice id and its rank among the shape's masks in that
     slice.  ``slot_of`` numbers the shape's slices in mask order (slice id ->
-    slot), ``counts`` holds the masks per slot and ``classes`` the class of
-    each circle.
+    slot), ``masks`` lists the masks per slot and ``classes`` holds the class
+    of each circle.
     """
-    __slots__ = ("id", "classes", "sids", "ranks", "slot_of", "counts")
+    __slots__ = ("id", "classes", "sids", "ranks", "slot_of", "masks")
 
     def __init__(self, shape_id: int, classes: list[ConjClass]):
         self.id, self.classes = shape_id, classes
         self.sids: list[int] = []
         self.ranks: list[int] = []
         self.slot_of: dict[int, int] = {}
-        self.counts: list[int] = []
+        self.masks: list[list[int]] = []
 
     def add(self, sid: int) -> None:
         """Append the next mask, in slice sid."""
-        slot = self.slot_of.setdefault(sid, len(self.counts))
-        if slot == len(self.counts):
-            self.counts.append(0)
+        slot = self.slot_of.setdefault(sid, len(self.masks))
+        if slot == len(self.masks):
+            self.masks.append([])
         self.sids.append(sid)
-        self.ranks.append(self.counts[slot])
-        self.counts[slot] += 1
+        self.ranks.append(len(self.masks[slot]))
+        self.masks[slot].append(len(self.sids) - 1)
 
 
 def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -> ChainComplex:
@@ -514,14 +519,14 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
     # and its class groups, (class id, bit mask of its circles) per
     # nontrivial class, interned by index.  Each distinct circle word is
     # classed once per build: word_ids gives its class's id in order of first
-    # sight, or -1 for the trivial class.  The classical flavor takes every
-    # circle as trivial.
+    # sight, or -1 for the trivial class, and class_pool lists the classes by
+    # id.  The classical flavor takes every circle as trivial.
     owners: list[bytes] = []
     anchors: list[bytes] = []
     state_groups: list[int] = []
     group_index: dict[tuple[tuple[int, int], ...], int] = {(): 0}
     word_ids: dict[Word, int] = {}
-    seen_ids: dict[ConjClass, int] = {}
+    class_ids: dict[ConjClass, int] = {}
     for s in range(1 << n):
         res = resolve(d, s)
         owners.append(bytes(res.owner))
@@ -533,19 +538,14 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
                 if cid is None:
                     cls = d.surface.canonical_class(free_reduce(circle.word))
                     cid = word_ids[circle.word] = (
-                        -1 if cls.is_trivial else seen_ids.setdefault(cls, len(seen_ids)))
+                        -1 if cls.is_trivial else class_ids.setdefault(cls, len(class_ids)))
                 if cid >= 0:
                     groups[cid] = groups.get(cid, 0) | (1 << t)
         state_groups.append(group_index.setdefault(tuple(sorted(groups.items())),
                                                    len(group_index)))
-    del word_ids
-    # renumber the nontrivial classes in class order, so slice keys come out sorted
-    class_pool = sorted(seen_ids)
-    order = {cls: cid for cid, cls in enumerate(class_pool)}
-    remap = [order[cls] for cls in seen_ids]
-    del seen_ids, order
-    group_list = [tuple(sorted((remap[cid], bits) for cid, bits in groups))
-                  for groups in group_index]
+    class_pool = list(class_ids)
+    group_list = list(group_index)
+    del word_ids, class_ids
 
     # enumerate generators by state shape (γ, β, class groups), which fixes
     # every mask's slice key.  The first state of a shape gives each mask its
@@ -588,45 +588,27 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
                     dims.append({})
                 shape.add(sid)
         bases = []
-        for sid, cnt in zip(shape.slot_of, shape.counts):
+        for sid, masks in zip(shape.slot_of, shape.masks):
             bases.append(dims[sid].get(beta, 0))
-            dims[sid][beta] = bases[-1] + cnt
+            dims[sid][beta] = bases[-1] + len(masks)
         state_shapes.append(shape)
         state_bases.append(tuple(bases))
 
-    # A map from degree beta to beta + 1 of a slice with more than WIDE_BITS
-    # dense bits is wide: the build keeps its recipe and writes no rows.  A
-    # state shape with a wide map is split into the masks of its narrow maps
-    # and, per wide slice, that slice's masks.
-    recipes: list[dict[int, list]] = [{} for _ in range(n + 1)]
-    for sid, sdims in enumerate(dims):
-        for beta, cnt in sdims.items():
-            if cnt * sdims.get(beta + 1, 0) > WIDE_BITS:
-                recipes[beta][sid] = []
-    splits: dict[int, tuple[list[int], dict[int, list[int]]]] = {}
-    for (_, beta, _), shape in shapes.items():
-        wide = {sid: [] for sid in shape.slot_of if sid in recipes[beta]}
-        if wide:
-            narrow = []
-            for mask, sid in enumerate(shape.sids):
-                (wide[sid] if sid in wide else narrow).append(mask)
-            splits[shape.id] = (narrow, wide)
-
-    # boundary rows by source degree, then slice id.  An out-edge's template
-    # is keyed by all that its label images, scatter table and slice check
-    # read: both state shapes (which fix the table), the circle indices and
-    # the target slots of the untouched circles.  The key holds the target
-    # slot of every source anchor, gathered in one call; the consumed
-    # circles' slots follow from kind and indices (see cube.py), so this
-    # makes no more templates.  The untouched circles' target bits are made
-    # only when a template is.  A template holds at 2 * mask the OR
-    # of 1 << rank of the source mask's images in the target state and next
-    # to it the target's slot of the mask's slice; the check keeps every
-    # image in that slice, so the edge shifts the bits by the target's base
-    # in that slot.  A zero map's template is empty.
+    # boundary map recipes by source degree, then slice id.  An out-edge's
+    # template is keyed by all that its label images, scatter table and slice
+    # check read: both state shapes (which fix the table), the circle indices
+    # and the target slots of the untouched circles.  The key holds the target
+    # slot of every source anchor, gathered in one call; the consumed circles'
+    # slots follow from kind and indices (see cube.py), so this makes no more
+    # templates.  The untouched circles' target bits are made only when a
+    # template is.  A template holds at 2 * mask the OR of 1 << rank of the
+    # source mask's images in the target state and next to it the target's slot
+    # of the mask's slice; the check keeps every image in that slice, so the
+    # edge shifts the bits by the target's base in that slot.  A zero map's
+    # template is empty.
     di = -n_minus if shift else 0
     dj = n_plus - 2 * n_minus if shift else 0
-    mats: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
+    recipes: list[dict[int, list]] = [{} for _ in range(n + 1)]
     label_images = cache(_label_images)
     templates: dict[tuple, list[int]] = {}
     crossing_bits = [(c, 1 << c) for c in range(n)]
@@ -664,8 +646,9 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
                         for out in images[mask & consumed]:
                             tmask = scat[mask] | out
                             if sids_t[tmask] != sid:
-                                (ja, ha), (jb, hb) = (_slice_key(slice_keys[x], dj, class_pool)
-                                                      for x in (sid, sids_t[tmask]))
+                                (ja, ha), (jb, hb) = (
+                                    (j + dj, _grading(hkey, lambda p: (class_pool[p[0]], p[1])))
+                                    for j, hkey in (slice_keys[sid], slice_keys[sids_t[tmask]]))
                                 raise RuntimeError(f"differential left its grading slice at"
                                                    f" state {s}, crossing {c}: slice (j={ja},"
                                                    f" h={ha}) -> (j={jb}, h={hb})")
@@ -673,46 +656,37 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
                         template += acc, slot_of_t[sid] if acc else 0
             if template:
                 out_edges += template, state_bases[t]
+        # each slice of the state with generators one degree up gets the
+        # state's entry in that map's recipe (a top degree has no map)
         out_edges = tuple(out_edges)
-        # a narrow map gets this state's rows now, each written once, ORed
-        # across the out-edges; a wide one gets its recipe entry
         beta = s.bit_count()
-        narrow = range(len(shape_s.sids))
-        if shape_s.id in splits:
-            narrow, wide = splits[shape_s.id]
-            for sid, masks in wide.items():
-                recipes[beta][sid] += masks, out_edges
-        if not out_edges:
-            continue
-        rows, bases_s = mats[beta], state_bases[s]
-        sids, slot_of, ranks = shape_s.sids, shape_s.slot_of, shape_s.ranks
-        for mask, acc in zip(narrow, _rows([narrow, out_edges], ())):
-            if acc:
-                sid = sids[mask]
-                row = rows.get(sid)
-                if row is None:
-                    row = rows[sid] = [0] * dims[sid][beta]
-                row[bases_s[slot_of[sid]] + ranks[mask]] = acc
+        maps = recipes[beta]
+        for sid, masks in zip(shape_s.slot_of, shape_s.masks):
+            if beta + 1 in dims[sid]:
+                maps.setdefault(sid, []).extend((masks, out_edges))
 
     # package, applying the orientation shifts to the output gradings, once
-    # the build state is released (a wide map's recipe holds on to its own
-    # templates and bases)
+    # the build state is released (the recipes hold on to their own
+    # templates and bases).  A map is a BoundaryMap over WIDE_BITS dense bits
+    # and dense rows otherwise, and is left out if no row is nonzero
     del owners, anchors, state_groups, group_index, group_list
-    del shapes, state_shapes, state_bases, slice_ids, splits, templates, label_images
+    del shapes, state_shapes, state_bases, slice_ids, templates, label_images
     terms = {p: (class_pool[p[0]], p[1]) for p in pairs}
-    gradings = {hkey: GradingElem(tuple(map(terms.__getitem__, hkey))) for hkey in hkeys}
+    gradings = {hkey: _grading(hkey, terms.__getitem__) for hkey in hkeys}
     del pairs, hkeys, terms
     slices: dict[tuple[int, GradingElem], SliceComplex] = {}
     for sid, (j, hkey) in enumerate(slice_keys):
         sdims, dims[sid] = dims[sid], None
         smats: dict[int, GF2Matrix | BoundaryMap] = {}
         for beta, cnt in sdims.items():
-            ncols = sdims.get(beta + 1, 0)
-            rows = mats[beta].pop(sid, None)
-            if rows is not None:
-                smats[beta + di] = GF2Matrix(cnt, ncols, rows)
-            elif (recipe := recipes[beta].pop(sid, None)) is not None and any(_rows(recipe, ())):
-                smats[beta + di] = BoundaryMap(cnt, ncols, recipe)
+            recipe = recipes[beta].pop(sid, None)
+            if recipe is None:
+                continue
+            ncols = sdims[beta + 1]
+            m = (BoundaryMap(cnt, ncols, recipe) if cnt * ncols > WIDE_BITS
+                 else GF2Matrix(cnt, ncols, list(_rows(recipe, ()))))
+            if not m.is_zero():
+                smats[beta + di] = m
         slices[j + dj, gradings[hkey]] = SliceComplex(
             {beta + di: cnt for beta, cnt in sdims.items()}, smats)
     return ChainComplex(d.genus, flavor, slices)

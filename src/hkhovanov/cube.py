@@ -23,7 +23,9 @@ slot edges (``Diagram.slot_edges``, built once per diagram):
 ``chain.build_complex`` (which keeps each state's owner index and anchors as
 bytes and drops the resolution) and the ``dump-cube`` command call it
 directly, walking each state's out-edges by crossing, and ``classify_edge``
-wraps it in a ``CubeEdge`` with the matched pairs for the tests and scripts.
+wraps it in a ``CubeEdge`` with the matched pairs.  ``CubeEdge`` and
+``classify_edge`` stay here because the benchmark's traced classify pass
+imports them; the tests walk every cube edge with them.
 
 The least-edge order fixes more than the untouched circles' relative order:
 a consumed circle's anchor lands at a target slot given by the kind and
@@ -42,7 +44,7 @@ from .diagram import Diagram
 from .words import ConjClass, Word, free_reduce
 
 __all__ = ["Circle", "Resolution", "CubeEdge", "resolve", "circle_counts", "edge_circles",
-           "classify_edge", "cube_edges"]
+           "classify_edge"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,14 +188,6 @@ def classify_edge(d: Diagram, src: Resolution, tgt: Resolution) -> CubeEdge:
     owner = tgt.owner
     pairs = tuple([(p, owner[a]) for p, a in enumerate(src.anchors) if p not in changed])
     return CubeEdge(src.state, crossing, kind, indices, pairs)
-
-
-def cube_edges(d: Diagram) -> list[CubeEdge]:
-    """All n * 2^(n-1) cube edges, classified, by source state then crossing."""
-    resolutions = [resolve(d, s) for s in range(1 << d.n_crossings)]
-    return [classify_edge(d, src, resolutions[s | (1 << c)])
-            for s, src in enumerate(resolutions)
-            for c in range(d.n_crossings) if not (s >> c) & 1]
 
 
 def circle_classes(d: Diagram, res: Resolution) -> tuple[ConjClass, ...]:

@@ -17,8 +17,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
-from hkhovanov import chain, cube
-from hkhovanov.cube import Circle, CubeEdge, Resolution, circle_classes, cube_edges, resolve
+from hkhovanov import chain
+from hkhovanov.cube import Circle, CubeEdge, Resolution, circle_classes, classify_edge, resolve
 from hkhovanov.diagram import Diagram, HEAD, TAIL, crossing_sign, crossing_signs
 from hkhovanov.words import (
     TRIVIAL_CLASS,
@@ -563,11 +563,11 @@ def transformed_circles(reverse_circles: bool = False, invert_circle_words: bool
 
 @contextmanager
 def shuffled_circles(seed: int):
-    """Within the block, the build, ``cube_edges`` and this module's oracles
-    list every state's circles in a seeded order of that state's own (owner
-    index and anchors renumbered to match), so the circles an edge leaves
-    alone need not keep their relative order."""
-    real = cube.resolve
+    """Within the block, the build and this module's oracles (``cube_edges``
+    among them) list every state's circles in a seeded order of that state's
+    own (owner index and anchors renumbered to match), so the circles an edge
+    leaves alone need not keep their relative order."""
+    real = chain.resolve
 
     def shuffled(d: Diagram, state: int) -> Resolution:
         res = real(d, state)
@@ -579,7 +579,7 @@ def shuffled_circles(seed: int):
         return Resolution(state, tuple(circles), tuple(perm[i] for i in res.owner),
                           tuple(anchors))
 
-    sites = (chain, cube, sys.modules[__name__])
+    sites = (chain, sys.modules[__name__])
     for module in sites:
         module.resolve = shuffled
     try:
@@ -587,6 +587,14 @@ def shuffled_circles(seed: int):
     finally:
         for module in sites:
             module.resolve = real
+
+
+def cube_edges(d: Diagram) -> list[CubeEdge]:
+    """All n * 2^(n-1) cube edges, classified, by source state then crossing."""
+    resolutions = [resolve(d, s) for s in range(1 << d.n_crossings)]
+    return [classify_edge(d, src, resolutions[s | (1 << c)])
+            for s, src in enumerate(resolutions)
+            for c in range(d.n_crossings) if not (s >> c) & 1]
 
 
 def hand_images(d: Diagram, edge: CubeEdge, classes_by_state, mask: int) -> list[int]:

@@ -18,7 +18,6 @@ from hkhovanov.chain import (
     split_matrix,
     verify_table1,
 )
-from hkhovanov.cube import cube_edges
 from hkhovanov.diagram import Diagram, mirror, reverse_orientation
 from hkhovanov.gf2 import GF2Matrix
 from hkhovanov.homology import compare, kh_classical, kh_h
@@ -37,6 +36,7 @@ from helpers import CORPUS_NAMES, corpus, ij, load_script
 from oracles import (
     TREFOIL_RH_GF2,
     classical_khovanov,
+    cube_edges,
     generator_gradings,
     grading_negate,
     grading_term,

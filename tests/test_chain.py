@@ -27,7 +27,7 @@ from hkhovanov.chain import (
     split_matrix,
     verify_table1,
 )
-from hkhovanov.cube import circle_classes, cube_edges, resolve
+from hkhovanov.cube import circle_classes, resolve
 from hkhovanov.gf2 import GF2Matrix
 from hkhovanov.homology import homology_table
 from hkhovanov.randgen import random_diagram, random_diagram_stream
@@ -35,6 +35,7 @@ from hkhovanov.words import Surface, TRIVIAL_CLASS, ZERO_GRADING
 
 from helpers import CORPUS_NAMES, corpus, load_script
 from oracles import (
+    cube_edges,
     generator_gradings,
     grading_add,
     grading_term,
@@ -256,8 +257,13 @@ def test_two_equal_circles_sum_their_class():
 
 def test_slice_gradings_are_the_grading_fold():
     # genus 3, several classes per state: build_complex writes each slice's
-    # grading straight from its class ids; generator_gradings folds grading_add
+    # grading straight from its class ids; generator_gradings folds grading_add.
+    # The build numbers the classes in order of first sight, and this diagram
+    # meets them out of class order, so each grading's terms must be sorted
     d = random_diagram(random.Random(2), 5, 3, max_word_len=3, n_loops=1)
+    met = dict.fromkeys(cls for s in range(1 << d.n_crossings)
+                        for cls in circle_classes(d, resolve(d, s)) if not cls.is_trivial)
+    assert list(met) != sorted(met)
     cx = build_complex(d)
     for _, h in cx.slices:
         fold = ZERO_GRADING
@@ -520,6 +526,30 @@ def test_a_many_slice_build_shares_each_grading_and_term_once():
     assert len(gradings) < len(cx.slices)
 
 
+def test_packaging_reads_each_map_once_and_a_top_degree_has_no_recipe(monkeypatch):
+    # diagram 228 of the fuzz_mixed stream, its largest: the homotopical build
+    # has 7,644 (slice, degree) entries but only 3,012 maps, the rest being
+    # top degrees, which get no recipe.  Packaging makes a narrow map's rows
+    # with one read and checks a wide map for a nonzero row with one read
+    calls = []
+    real = chain._rows
+
+    def counted(recipe, skip):
+        calls.append(skip)
+        return real(recipe, skip)
+    monkeypatch.setattr(chain, "_rows", counted)
+    stream = random_diagram_stream(0, 300, max_crossings=8, max_genus=3, max_word_len=4)
+    d = next(itertools.islice(stream, 228, None))
+    for flavor, entries, maps, wide in (("homotopical", 7644, 3012, 0), ("classical", 93, 77, 11)):
+        calls.clear()
+        cx = build_complex(d, flavor)
+        assert sum(len(sc.dims) for sc in cx.slices.values()) == entries
+        assert sum(i + 1 in sc.dims for sc in cx.slices.values() for i in sc.dims) == maps
+        assert sum(isinstance(m, chain.BoundaryMap)
+                   for sc in cx.slices.values() for m in sc.mats.values()) == wide
+        assert len(calls) <= maps + wide, flavor
+
+
 def row_oracle_inputs():
     """30 seeded random diagrams of genus 0-3 (some with free loops), and the
     genus-1 closure of [1,2,3]*3 on 4 strands, whose state shapes repeat."""
@@ -565,3 +595,9 @@ def test_leaving_the_slice_names_the_site(monkeypatch):
         build_complex(corpus("trefoil_g1"))
     assert str(err.value) == ("differential left its grading slice at state 0, crossing 0: "
                               "slice (j=5, h=1*[a1]) -> (j=3, h=-1*[a1])")
+    # a genus-3 diagram whose states meet [a2 B3] before [b3]: both gradings
+    # are named with their terms sorted by class
+    with pytest.raises(RuntimeError) as err:
+        build_complex(random_diagram(random.Random(17), 2, 3, max_word_len=2))
+    assert str(err.value) == ("differential left its grading slice at state 0, crossing 0: "
+                              "slice (j=3, h=-1*[b3]+1*[a2 B3]) -> (j=1, h=-1*[b3]-1*[a2 B3])")

@@ -10,13 +10,13 @@ from functools import cached_property
 import pytest
 
 from hkhovanov import chain, randgen
-from hkhovanov.cube import circle_classes, circle_counts, classify_edge, cube_edges, resolve
+from hkhovanov.cube import circle_classes, circle_counts, classify_edge, resolve
 from hkhovanov.chain import build_complex, merge_case, split_case
 from hkhovanov.diagram import Diagram, diagram_to_json
 from hkhovanov.randgen import random_diagram, random_diagram_stream
 
 from helpers import CORPUS_NAMES, SMALL_GENUS0, corpus
-from oracles import state_circles, support, trace_circles
+from oracles import cube_edges, state_circles, support, trace_circles
 
 
 def small_random_diagrams(count=30, max_crossings=4, max_genus=2, seed=7):
