@@ -45,7 +45,7 @@ from typing import Container, Iterable, Iterator
 from .cube import edge_circles, resolve
 from .diagram import Diagram, crossing_signs
 from .gf2 import GF2Matrix, leads_of, product_rows, rank_of
-from .words import TRIVIAL_CLASS, ConjClass, GradingElem, Word, free_reduce
+from .words import TRIVIAL_CLASS, ConjClass, GradingElem, Word
 
 MINUS, PLUS = 0, 1
 
@@ -475,17 +475,18 @@ def _grading(hkey: tuple[tuple[int, int], ...], term) -> GradingElem:
 
 
 class _Shape:
-    """The generators of the states of one shape (γ, β, class groups).
+    """The generators of the states of one shape (β, class id per circle, -1
+    if trivial); edge templates are keyed by the shapes themselves.
 
     Per mask: its slice id and its rank among the shape's masks in that
     slice.  ``slot_of`` numbers the shape's slices in mask order (slice id ->
     slot), ``masks`` lists the masks per slot and ``classes`` holds the class
     of each circle.
     """
-    __slots__ = ("id", "classes", "sids", "ranks", "slot_of", "masks")
+    __slots__ = ("classes", "sids", "ranks", "slot_of", "masks")
 
-    def __init__(self, shape_id: int, classes: list[ConjClass]):
-        self.id, self.classes = shape_id, classes
+    def __init__(self, classes: list[ConjClass]):
+        self.classes = classes
         self.sids: list[int] = []
         self.ranks: list[int] = []
         self.slot_of: dict[int, int] = {}
@@ -514,45 +515,18 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
     n = d.n_crossings
     n_plus, n_minus, _ = crossing_signs(d)
 
-    # read each resolution once, straight into its state's owner index and
-    # anchors (bytes: a state with 256 circles would have 2^256 generators)
-    # and its class groups, (class id, bit mask of its circles) per
-    # nontrivial class, interned by index.  Each distinct circle word is
-    # classed once per build: word_ids gives its class's id in order of first
-    # sight, or -1 for the trivial class, and class_pool lists the classes by
-    # id.  The classical flavor takes every circle as trivial.
+    # one pass per state: read its resolution once, into its owner index and
+    # anchors (bytes: 256 circles would make 2^256 generators), class each
+    # distinct circle word once per build (word_ids: class id in order of
+    # first sight, -1 if trivial; the classical flavor takes all as trivial)
+    # and key its shape by (β, class ids), which splits the states as (γ, β,
+    # class groups) would.  A new shape gives each mask its slice id, slot and
+    # rank; the generator (s, mask) sits at column state_bases[s][slot] + rank.
     owners: list[bytes] = []
     anchors: list[bytes] = []
-    state_groups: list[int] = []
-    group_index: dict[tuple[tuple[int, int], ...], int] = {(): 0}
     word_ids: dict[Word, int] = {}
     class_ids: dict[ConjClass, int] = {}
-    for s in range(1 << n):
-        res = resolve(d, s)
-        owners.append(bytes(res.owner))
-        anchors.append(bytes(res.anchors))
-        groups: dict[int, int] = {}
-        if homotopical:
-            for t, circle in enumerate(res.circles):
-                cid = word_ids.get(circle.word)
-                if cid is None:
-                    cls = d.surface.canonical_class(free_reduce(circle.word))
-                    cid = word_ids[circle.word] = (
-                        -1 if cls.is_trivial else class_ids.setdefault(cls, len(class_ids)))
-                if cid >= 0:
-                    groups[cid] = groups.get(cid, 0) | (1 << t)
-        state_groups.append(group_index.setdefault(tuple(sorted(groups.items())),
-                                                   len(group_index)))
-    class_pool = list(class_ids)
-    group_list = list(group_index)
-    del word_ids, class_ids
-
-    # enumerate generators by state shape (γ, β, class groups), which fixes
-    # every mask's slice key.  The first state of a shape gives each mask its
-    # slice id (new ids in mask order), its slice's slot in the shape and its
-    # rank among the shape's masks in that slice; each state then takes a
-    # column base per slot from dims, so the generator (s, mask) sits at
-    # column state_bases[s][slot] + rank.
+    class_pool: list[ConjClass] = []
     slice_ids: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
     slice_keys: list[tuple[int, tuple[tuple[int, int], ...]]] = []
     # a new slice id interns its grading key and (class id, coeff) pairs, so
@@ -560,19 +534,35 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
     hkeys: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
     pairs: dict[tuple[int, int], tuple[int, int]] = {}
     dims: list[dict[int, int]] = []
-    shapes: dict[tuple[int, int, int], _Shape] = {}
+    shapes: dict[tuple[int, tuple[int, ...]], _Shape] = {}
     state_shapes: list[_Shape] = []
     state_bases: list[tuple[int, ...]] = []
     for s in range(1 << n):
-        gamma, beta, gid = len(anchors[s]), s.bit_count(), state_groups[s]
-        shape = shapes.get((gamma, beta, gid))
+        res = resolve(d, s)
+        owners.append(bytes(res.owner))
+        anchors.append(bytes(res.anchors))
+        cids = [-1] * len(res.circles)
+        for t, circle in enumerate(res.circles if homotopical else ()):
+            cid = word_ids.get(circle.word)
+            if cid is None:
+                cls = d.surface.canonical_class(circle.word)
+                cid = word_ids[circle.word] = (
+                    -1 if cls.is_trivial else class_ids.setdefault(cls, len(class_pool)))
+                if cid == len(class_pool):
+                    class_pool.append(cls)
+            cids[t] = cid
+        beta = s.bit_count()
+        shape_key = beta, tuple(cids)
+        shape = shapes.get(shape_key)
         if shape is None:
-            shape = shapes[gamma, beta, gid] = _Shape(len(shapes), [TRIVIAL_CLASS] * gamma)
-            id_groups = group_list[gid]
-            for cid, bits in id_groups:
-                for t in range(gamma):
-                    if (bits >> t) & 1:
-                        shape.classes[t] = class_pool[cid]
+            shape = shapes[shape_key] = _Shape(
+                [TRIVIAL_CLASS if cid < 0 else class_pool[cid] for cid in cids])
+            groups: dict[int, int] = {}
+            for t, cid in enumerate(cids):
+                if cid >= 0:
+                    groups[cid] = groups.get(cid, 0) | (1 << t)
+            id_groups = sorted(groups.items())
+            gamma = len(cids)
             for mask in range(1 << gamma):
                 key = (2 * mask.bit_count() - gamma + beta, _grading_key(id_groups, mask))
                 sid = slice_ids.get(key)
@@ -593,6 +583,7 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
             dims[sid][beta] = bases[-1] + len(masks)
         state_shapes.append(shape)
         state_bases.append(tuple(bases))
+    del word_ids, class_ids
 
     # boundary map recipes by source degree, then slice id.  An out-edge's
     # template is keyed by all that its label images, scatter table and slice
@@ -624,7 +615,7 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
             t = s | bit
             owner_t, shape_t = owners[t], state_shapes[t]
             kind, indices = edge_circles(d, owner_s, owner_t, s, c)
-            key = (shape_s.id, shape_t.id, kind, indices, gather(owner_t))
+            key = (shape_s, shape_t, kind, indices, gather(owner_t))
             template = templates.get(key)
             if template is None:
                 template = templates[key] = []
@@ -669,8 +660,7 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
     # the build state is released (the recipes hold on to their own
     # templates and bases).  A map is a BoundaryMap over WIDE_BITS dense bits
     # and dense rows otherwise, and is left out if no row is nonzero
-    del owners, anchors, state_groups, group_index, group_list
-    del shapes, state_shapes, state_bases, slice_ids, templates, label_images
+    del owners, anchors, shapes, state_shapes, state_bases, slice_ids, templates, label_images
     terms = {p: (class_pool[p[0]], p[1]) for p in pairs}
     gradings = {hkey: _grading(hkey, terms.__getitem__) for hkey in hkeys}
     del pairs, hkeys, terms
@@ -684,7 +674,7 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
                 continue
             ncols = sdims[beta + 1]
             m = (BoundaryMap(cnt, ncols, recipe) if cnt * ncols > WIDE_BITS
-                 else GF2Matrix(cnt, ncols, list(_rows(recipe, ()))))
+                 else GF2Matrix(cnt, ncols, _rows(recipe, ())))
             if not m.is_zero():
                 smats[beta + di] = m
         slices[j + dj, gradings[hkey]] = SliceComplex(

@@ -21,12 +21,10 @@ from .chain import build_complex, differential_squares_to_zero, edge_table, veri
 from .cube import circle_classes, edge_circles, resolve
 from .diagram import Diagram, parse_diagram
 from .homology import compare, homology_table, poincare_report
-from .moves import MoveSpec, apply_move, r1_add_sites, r1_remove_sites, \
+from .moves import MoveSpec, apply_move, param_lengths, r1_add_sites, r1_remove_sites, \
     r2_add_sites, r2_remove_sites
 from .randgen import random_diagram_stream
 from .words import word_to_str
-
-TUPLE_PARAMS = ("edges", "loops", "crossings", "splits")
 
 
 def _load(path: str) -> tuple[Diagram, str]:
@@ -78,16 +76,11 @@ def parse_moves(text: str) -> list[MoveSpec]:
 
 
 def _make_spec(kind: str, params: dict[str, list[int]]) -> MoveSpec:
-    out: dict = {}
-    for key, vals in params.items():
-        if key in TUPLE_PARAMS:
-            out[key] = tuple(vals)
-        elif len(vals) == 1:
-            out[key] = vals[0]
-        else:
-            raise ValueError(f"--moves: parameter {key} takes one value")
+    # a one-int parameter's single value goes bare, all else as a tuple for MoveSpec to check
     try:
-        return MoveSpec(kind, out)
+        lengths = param_lengths(kind)
+        return MoveSpec(kind, {key: vals[0] if len(vals) == 1 and lengths.get(key) is None
+                               else tuple(vals) for key, vals in params.items()})
     except ValueError as exc:
         raise ValueError(f"--moves: {exc}") from exc
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .diagram import Diagram
-from .words import ConjClass, Word, free_reduce
+from .words import ConjClass, Word
 
 __all__ = ["Circle", "Resolution", "CubeEdge", "resolve", "circle_counts", "edge_circles",
            "classify_edge"]
@@ -192,5 +192,4 @@ def classify_edge(d: Diagram, src: Resolution, tgt: Resolution) -> CubeEdge:
 
 def circle_classes(d: Diagram, res: Resolution) -> tuple[ConjClass, ...]:
     """Canonical class of each circle, in circle order."""
-    surf = d.surface
-    return tuple(surf.canonical_class(free_reduce(c.word)) for c in res.circles)
+    return tuple(d.surface.canonical_class(c.word) for c in res.circles)

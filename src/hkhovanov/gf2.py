@@ -66,17 +66,16 @@ def product_rows(rows: Iterable[int], other: Sequence[int]) -> list[int]:
 class GF2Matrix:
     __slots__ = ("nrows", "ncols", "rows")
 
-    def __init__(self, nrows: int, ncols: int, rows: list[int] | None = None):
+    def __init__(self, nrows: int, ncols: int, rows: Iterable[int] | None = None):
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         self.nrows = nrows
         self.ncols = ncols
-        if rows is None:
-            rows = [0] * nrows
-        if len(rows) != nrows:
-            raise ValueError("row count mismatch")
         mask = (1 << ncols) - 1
-        self.rows = [r if 0 <= r <= mask else r & mask for r in rows]
+        self.rows = ([0] * nrows if rows is None
+                     else [r if 0 <= r <= mask else r & mask for r in rows])
+        if len(self.rows) != nrows:
+            raise ValueError("row count mismatch")
 
     @classmethod
     def from_entries(cls, nrows: int, ncols: int, entries) -> "GF2Matrix":

@@ -123,14 +123,8 @@ class _ClassNames(dict):
         return text
 
 
-def _render(h: GradingElem, names: _ClassNames) -> str:
-    if h.is_zero:
-        return "0"
-    return "+".join(f"{k}*[{names[c]}]" for c, k in h.terms).replace("+-", "-")
-
-
 def render_h(h: GradingElem, genus: int) -> str:
-    return _render(h, _ClassNames(genus))
+    return h.render(_ClassNames(genus).__getitem__)
 
 
 def _legend(names: _ClassNames) -> list[tuple[str, tuple[int, int]]]:
@@ -154,7 +148,7 @@ def poincare_report(table: HomologyTable, fmt: str = "text",
         lines = [f"# flavor={table.flavor} genus={table.genus}"]
         if meta:
             lines += [f"# {k}={v}" for k, v in sorted(meta.items())]
-        lines += [f"({i},{j},{_render(h, names)}) : {dim}"
+        lines += [f"({i},{j},{h.render(names.__getitem__)}) : {dim}"
                   for (i, j, h), dim in items]
         del items
         lines.append(f"# total dimension {table.total_dim()}")
@@ -164,7 +158,7 @@ def poincare_report(table: HomologyTable, fmt: str = "text",
         return "\n".join(lines)
     if fmt == "tsv":
         lines = ["i\tj\th\tdim"]
-        lines += [f"{i}\t{j}\t{_render(h, names)}\t{dim}"
+        lines += [f"{i}\t{j}\t{h.render(names.__getitem__)}\t{dim}"
                   for (i, j, h), dim in items]
         del items
         lines.append("")
@@ -174,7 +168,7 @@ def poincare_report(table: HomologyTable, fmt: str = "text",
         doc["flavor"] = table.flavor
         doc["genus"] = table.genus
         doc["table"] = [
-            {"i": i, "j": j, "h": _render(h, names), "dim": dim}
+            {"i": i, "j": j, "h": h.render(names.__getitem__), "dim": dim}
             for (i, j, h), dim in items
         ]
         if table.genus == 1:

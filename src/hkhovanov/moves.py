@@ -34,21 +34,30 @@ MOVE_PARAMS: dict[str, tuple[tuple[dict[str, int | None], ...], dict[str, int | 
 }
 
 
+def param_lengths(kind: str) -> dict[str, int | None]:
+    """Each parameter of a move kind -> the length of its tuple, None for an int."""
+    if kind not in MOVE_PARAMS:
+        raise ValueError(f"unknown move kind {kind!r}")
+    forms, may = MOVE_PARAMS[kind]
+    return {key: n for form in (*forms, may) for key, n in form.items()}
+
+
 @dataclass(frozen=True)
 class MoveSpec:
     kind: str  # a MOVE_PARAMS key
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in MOVE_PARAMS:
-            raise ValueError(f"unknown move kind {self.kind!r}")
-        forms, may = MOVE_PARAMS[self.kind]
-        lengths = {key: n for form in (*forms, may) for key, n in form.items()}
+        lengths = param_lengths(self.kind)
         for key, value in self.params.items():
             if key not in lengths:
                 raise ValueError(f"{self.kind}: unknown parameter {key!r}")
-            if lengths[key] is not None and len(value) != lengths[key]:
-                raise ValueError(f"{self.kind}: parameter {key!r} takes {lengths[key]} values")
+            n = lengths[key]
+            if n is None and not isinstance(value, int):
+                raise ValueError(f"{self.kind}: parameter {key!r} takes one value")
+            if n is not None and not (isinstance(value, tuple) and len(value) == n):
+                raise ValueError(f"{self.kind}: parameter {key!r} takes {n} values")
+        forms, _ = MOVE_PARAMS[self.kind]
         given = [form for form in forms if form.keys() & self.params.keys()]
         if len(given) > 1:
             a, b = (min(form.keys() & self.params.keys()) for form in given[:2])

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 __all__ = [
     "Word",
@@ -333,6 +334,7 @@ class Surface:
         return self.canonical_class(w).is_trivial
 
     def canonical_class(self, w: Word) -> ConjClass:
+        """The class of w, which need not be reduced."""
         w = tuple(w)
         hit = self._classes.get(w)
         if hit is not None:
@@ -375,11 +377,14 @@ class GradingElem:
     def sort_key(self) -> tuple:
         return tuple((c.key, k) for c, k in self.terms)
 
-    def __str__(self) -> str:
+    def render(self, name: Callable[[ConjClass], str]) -> str:
+        """The text form, "0" or "k*[class]" terms, each class spelled by name."""
         if not self.terms:
             return "0"
-        body = "+".join(f"{k}*[{c}]" for c, k in self.terms)
-        return body.replace("+-", "-")
+        return "+".join(f"{k}*[{name(c)}]" for c, k in self.terms).replace("+-", "-")
+
+    def __str__(self) -> str:
+        return self.render(str)
 
 
 ZERO_GRADING = GradingElem()

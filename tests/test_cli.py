@@ -117,6 +117,7 @@ def test_verify_moves_explicit_sequence(capsys):
     ("r3:", "r3: missing parameter 'edges'"),
     ("r2:loop=0", "r2: missing parameter 'edge'"),
     ("r1+:edge=0,foo=3", "r1+: unknown parameter 'foo'"),
+    ("r1+:foo=3,4", "r1+: unknown parameter 'foo'"),
 ])
 def test_verify_moves_names_a_missing_or_unknown_parameter(moves, message, capsys):
     # a missing parameter used to escape as a KeyError (exit 1, the code of a
@@ -129,6 +130,7 @@ def test_verify_moves_names_a_missing_or_unknown_parameter(moves, message, capsy
 @pytest.mark.parametrize("moves, message", [
     ("r2rm:crossings=1", "r2rm: parameter 'crossings' takes 2 values"),
     ("r3:edges=0,1", "r3: parameter 'edges' takes 3 values"),
+    ("r1+:edge=1,2", "r1+: parameter 'edge' takes one value"),
     ("r2:edges=0,1,loop=0", "r2: parameters 'edges' and 'loop' exclude each other"),
 ])
 def test_verify_moves_names_a_wrong_arity_or_a_clash(moves, message, capsys):

@@ -183,3 +183,12 @@ def test_row_masking_and_validation():
         GF2Matrix(2, 2, [0])
     with pytest.raises(ValueError, match="nonnegative"):
         GF2Matrix(-1, 2)
+
+
+def test_rows_may_be_any_iterable():
+    # packaging hands over a generator of rows, whose list is made once
+    assert GF2Matrix(2, 3, iter([1, 9])).rows == [1, 1]
+    assert GF2Matrix(2, 3, (r for r in [0b111, 0b110])).rows == [0b111, 0b110]
+    for rows in ([0], [1, 2, 3]):
+        with pytest.raises(ValueError, match="row count mismatch"):
+            GF2Matrix(2, 3, iter(rows))

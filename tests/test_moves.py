@@ -6,6 +6,7 @@ import itertools
 import json
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -104,6 +105,20 @@ def test_r1_rejections():
         r1_remove(base, 0)
     with pytest.raises(ValueError, match="unknown move kind"):
         apply_move(base, MoveSpec("r9", {}))
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("r1+", {"edge": (1, 2)}, "r1+: parameter 'edge' takes one value"),
+    ("r1+", {"edge": "1"}, "r1+: parameter 'edge' takes one value"),
+    ("r1+", {"edge": 1, "split": [0]}, "r1+: parameter 'split' takes one value"),
+    ("r2rm", {"crossings": 3}, "r2rm: parameter 'crossings' takes 2 values"),
+    ("r2rm", {"crossings": [3, 4]}, "r2rm: parameter 'crossings' takes 2 values"),
+])
+def test_move_spec_checks_each_value_against_its_arity(kind, params, message):
+    # a tuple for a one-int parameter used to pass and then escape apply_move
+    # as a TypeError, and an int for a tuple parameter escaped at once
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MoveSpec(kind, params)
 
 
 def test_r2_roundtrip_on_edges():

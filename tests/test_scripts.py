@@ -1,7 +1,8 @@
 """Smoke tests for scripts/: corpus regeneration, the fuzz script, the search,
-the memory ladder and the in-process A/B timer."""
+the memory ladder, the in-process A/B timer and the output digest."""
 
 import json
+import os
 import subprocess
 import sys
 from hkhovanov.diagram import diagram_to_json, validate
@@ -61,3 +62,19 @@ def test_inprocess_ab_runs():
     for side in ("a", "b"):
         assert 0 < out[side]["q1"] <= out[side]["median"] <= out[side]["q3"]
     assert out["ratio_b_over_a_median"] > 0 and out["b_faster"] in (0, 1)
+
+
+def test_output_digest_folds_what_the_cli_prints_as_a_process():
+    # the in-process runs hash the same bytes and exit codes that the
+    # command line prints when run on its own
+    module = load_script("output_digest")
+    names = ["trefoil_g1.json", "loop_a.json"]
+    env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
+    runs = []
+    for name in names:
+        for argv in module.invocations(name):
+            proc = subprocess.run([sys.executable, "-m", "hkhovanov", *argv], cwd=CORPUS,
+                                  capture_output=True, env=env, timeout=120)
+            runs.append((argv, proc.returncode, proc.stdout))
+    assert len(runs) == 20 and all(code == 0 and out for _, code, out in runs)
+    assert module.digest(CORPUS, names) == module.fold(runs)
