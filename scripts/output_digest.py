@@ -8,10 +8,13 @@ random_diagram_stream(11, 300, max_crossings=7, max_genus=3, max_word_len=4),
 written as `random_NNN.json`, all in one temporary directory.  Per input it
 runs `hkhovanov.cli.main` in this process, from that directory with the
 file's bare name, with stdout captured: `compute` in tsv and json, in both
-flavors, with and without --no-shift, then `dump-cube` and `verify-d2`.  It
-prints the number of runs and one sha256 over every run's arguments, exit
-code and stdout bytes, so two checkouts whose command line prints the same
-bytes print the same line.
+flavors, with and without --no-shift, then `dump-cube` and `verify-d2`.
+Then it runs `verify-moves` at the default sites of every corpus file but
+`perf12_genus1.json` (whose 12 crossings make that take minutes), the move
+sequence `r1+:edge=3,r2:edges=1,4` on `trefoil_rh.json`, and
+`verify-table1`.  It prints the number of runs and one sha256 over every
+run's arguments, exit code and stdout bytes, so two checkouts whose command
+line prints the same bytes print the same line.
 """
 
 from __future__ import annotations
@@ -46,6 +49,15 @@ def invocations(name: str) -> Iterator[list[str]]:
     yield ["verify-d2", name]
 
 
+def move_invocations(names: Iterable[str]) -> Iterator[list[str]]:
+    """verify-moves at the default sites of each named file, one move
+    sequence on trefoil_rh.json, and the face identity suite."""
+    for name in names:
+        yield ["verify-moves", name]
+    yield ["verify-moves", "trefoil_rh.json", "--moves", "r1+:edge=3,r2:edges=1,4"]
+    yield ["verify-table1"]
+
+
 def run_cli(argv: list[str]) -> tuple[int, bytes]:
     """Exit code and stdout bytes of `cli.main(argv)` run in this process."""
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n")
@@ -66,12 +78,12 @@ def fold(runs: Iterable[Run]) -> tuple[int, str]:
     return count, h.hexdigest()
 
 
-def digest(folder: pathlib.Path, names: Iterable[str]) -> tuple[int, str]:
-    """`fold` of every invocation on each named file of folder, run from there."""
+def digest(folder: pathlib.Path, argvs: Iterable[list[str]]) -> tuple[int, str]:
+    """`fold` of every command line, each run from folder."""
     cwd = os.getcwd()
     os.chdir(folder)
     try:
-        return fold((argv, *run_cli(argv)) for name in names for argv in invocations(name))
+        return fold((argv, *run_cli(argv)) for argv in argvs)
     finally:
         os.chdir(cwd)
 
@@ -83,11 +95,13 @@ def main() -> int:
         for path in sorted((ROOT / "corpus").glob("*.json")):
             (folder / path.name).write_bytes(path.read_bytes())
             names.append(path.name)
+        move_names = [name for name in names if name != "perf12_genus1.json"]
         stream = random_diagram_stream(11, 300, max_crossings=7, max_genus=3, max_word_len=4)
         for k, d in enumerate(stream):
             names.append(f"random_{k:03d}.json")
             (folder / names[-1]).write_text(json.dumps(diagram_to_json(d), indent=1) + "\n")
-        count, sha = digest(folder, names)
+        argvs = [argv for name in names for argv in invocations(name)]
+        count, sha = digest(folder, argvs + list(move_invocations(move_names)))
     print(f"{count} runs sha256 {sha}")
     return 0
 

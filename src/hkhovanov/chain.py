@@ -367,9 +367,10 @@ def verify_table1() -> Table1Report:
         shape = _TABLE1_SHAPES[col]
         witness = _first_difference(_ops_or_zero(lhs, shape), _ops_or_zero(rhs, shape))
         classical.append((col, witness is None))
-    # the last row asserts that every map of its configuration vanishes,
-    # which is the zero-equals-zero statement in all three shapes at once
-    final_ok = all(_ops_or_zero(None, _TABLE1_SHAPES[c]).is_zero() for c in "ABC")
+    # the last row asserts that every map of its configuration vanishes: an
+    # edge whose three circles are all nontrivial must dispatch to no table
+    x, y, z = ConjClass((1,)), ConjClass((2,)), ConjClass((1, 2))
+    final_ok = merge_case(x, y, z) is None and split_case(z, x, y) is None
     return Table1Report(tuple(cells), tuple(classical), final_ok)
 
 

@@ -13,6 +13,7 @@ in/out, the crossing is positive when the overstrand enters at slot 3.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .diagram import Diagram, HEAD, SlotRef, TAIL, crossing_sign, validate
@@ -70,32 +71,35 @@ class MoveSpec:
 Strand = tuple[str, int]  # ("edge", id) or ("loop", index)
 
 
+def _strands(p: dict) -> tuple[Strand, ...]:
+    """The arcs that a move's edge/loop parameters name, edges first."""
+    return tuple((kind, i) for kind in ("edge", "loop")
+                 for i in ((p[kind],) if kind in p else p.get(kind + "s", ())))
+
+
+def _strand_params(strands: tuple[Strand, ...]) -> dict:
+    """The edge/loop parameters naming strands: a same-kind pair as edges/loops."""
+    kinds = {kind for kind, _ in strands}
+    if len(strands) == 2 and len(kinds) == 1:
+        return {kinds.pop() + "s": tuple(i for _, i in strands)}
+    return dict(strands)
+
+
 def apply_move(d: Diagram, spec: MoveSpec) -> Diagram:
     p = spec.params
     if spec.kind in ("r1+", "r1-"):
         chirality = 1 if spec.kind == "r1+" else -1
-        return r1_add(d, edge=p.get("edge"), loop=p.get("loop"),
-                      split=p.get("split"), chirality=chirality)
+        return r1_add(d, *_strands(p), split=p.get("split"), chirality=chirality)
     if spec.kind == "r1rm":
         return r1_remove(d, p["crossing"])
     if spec.kind == "r2":
-        return r2_add(d, _strand_pair(p), splits=p.get("splits", (None, None)),
+        return r2_add(d, _strands(p), splits=p.get("splits", (None, None)),
                       over=p.get("over", 2))
     if spec.kind == "r2rm":
         c1, c2 = p["crossings"]
         return r2_remove(d, c1, c2)
     ta, tb, tc = p["edges"]
     return r3(d, ta, tb, tc)
-
-
-def _strand_pair(p: dict) -> tuple[Strand, Strand]:
-    if "edges" in p:
-        e1, e2 = p["edges"]
-        return ("edge", e1), ("edge", e2)
-    if "loops" in p:
-        l1, l2 = p["loops"]
-        return ("loop", l1), ("loop", l2)
-    return ("edge", p["edge"]), ("loop", p["loop"])
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +152,13 @@ def _with_cuts(d: Diagram, words: list[Word], crossings: list[list[SlotRef]],
 # kinks
 
 
-def r1_add(d: Diagram, edge: int | None = None, loop: int | None = None,
-           split: int | None = None, chirality: int = 1) -> Diagram:
+def r1_add(d: Diagram, strand: Strand, split: int | None = None,
+           chirality: int = 1) -> Diagram:
     """Add a kink on an arc.  chirality is the sign of the new crossing.
 
     On an edge, ``split`` letters of its word stay before the kink (default
     all); on a free loop, ``split`` rotates the word before cutting it open.
     """
-    if (edge is None) == (loop is None):
-        raise ValueError("pattern-mismatch: r1 add needs exactly one of edge/loop")
-    strand: Strand = ("edge", edge) if loop is None else ("loop", loop)
     words = list(d.edge_words)
     crossings = [list(slots) for slots in d.crossings]
     u, kink, v = _cut(d, words, crossings, strand, split)
@@ -390,32 +391,17 @@ def r2_remove_sites(d: Diagram) -> list[MoveSpec]:
     return out
 
 
+def _arcs(d: Diagram) -> list[Strand]:
+    """Every arc of d: its edges, then its free loops."""
+    return ([("edge", e) for e in range(len(d.edge_words))]
+            + [("loop", l) for l in range(len(d.free_loops))])
+
+
 def r1_add_sites(d: Diagram) -> list[MoveSpec]:
-    out = []
-    for e in range(len(d.edge_words)):
-        out.append(MoveSpec("r1+", {"edge": e}))
-        out.append(MoveSpec("r1-", {"edge": e}))
-    for l in range(len(d.free_loops)):
-        out.append(MoveSpec("r1+", {"loop": l}))
-        out.append(MoveSpec("r1-", {"loop": l}))
-    return out
+    return [MoveSpec(kind, _strand_params((s,)))
+            for s in _arcs(d) for kind in ("r1+", "r1-")]
 
 
 def r2_add_sites(d: Diagram) -> list[MoveSpec]:
-    strands: list[Strand] = [("edge", e) for e in range(len(d.edge_words))]
-    strands += [("loop", l) for l in range(len(d.free_loops))]
-    out = []
-    for a in range(len(strands)):
-        for b in range(a + 1, len(strands)):
-            for over in (1, 2):
-                params: dict = {"over": over}
-                s1, s2 = strands[a], strands[b]
-                if s1[0] == "edge" and s2[0] == "edge":
-                    params["edges"] = (s1[1], s2[1])
-                elif s1[0] == "loop" and s2[0] == "loop":
-                    params["loops"] = (s1[1], s2[1])
-                else:
-                    e, l = (s1, s2) if s1[0] == "edge" else (s2, s1)
-                    params["edge"], params["loop"] = e[1], l[1]
-                out.append(MoveSpec("r2", params))
-    return out
+    return [MoveSpec("r2", {**_strand_params(pair), "over": over})
+            for pair in itertools.combinations(_arcs(d), 2) for over in (1, 2)]

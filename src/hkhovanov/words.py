@@ -340,18 +340,24 @@ class Surface:
         if hit is not None:
             return hit
         check_word(w, self.genus)
-        if self.genus == 0:
-            letters: Word = ()
-        elif self.genus == 1:
-            p, q = _torus_exponents(w)
-            if p < 0 or (p == 0 and q < 0):
-                p, q = -p, -q
-            letters = (1,) * p + ((2,) * q if q >= 0 else (-2,) * -q)
-        else:
-            letters = _hyperbolic_class_word(w, self.genus)
-        cls = self._interned.get(letters)
+        # traced circle words come unreduced: words that differ by cancelling
+        # pairs share the memo entry of their free reduction
+        reduced = free_reduce(w)
+        cls = self._classes.get(reduced)
         if cls is None:
-            cls = self._interned[letters] = ConjClass(letters)
+            if self.genus == 0:
+                letters: Word = ()
+            elif self.genus == 1:
+                p, q = _torus_exponents(reduced)
+                if p < 0 or (p == 0 and q < 0):
+                    p, q = -p, -q
+                letters = (1,) * p + ((2,) * q if q >= 0 else (-2,) * -q)
+            else:
+                letters = _hyperbolic_class_word(reduced, self.genus)
+            cls = self._interned.get(letters)
+            if cls is None:
+                cls = self._interned[letters] = ConjClass(letters)
+            self._classes[reduced] = cls
         self._classes[w] = cls
         return cls
 

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from hkhovanov import cli, cube, diagram
+from hkhovanov import chain, cli, cube, diagram
 from hkhovanov.cli import main, parse_moves, spec_to_str
 from hkhovanov.diagram import diagram_to_json
 from hkhovanov.homology import kh_h, poincare_report
@@ -102,6 +102,21 @@ def test_verify_table1(capsys):
     assert "final row: holds" in out
 
 
+def test_verify_table1_final_row_can_fail(monkeypatch, capsys):
+    # a dispatch that picks a table for an edge of three nontrivial circles
+    # breaks the last row; that row once held for any code
+    real = chain._case
+
+    def mutant(whole, a, b, what):
+        if not (whole.is_trivial or a.is_trivial or b.is_trivial):
+            return ""
+        return real(whole, a, b, what)
+    monkeypatch.setattr(chain, "_case", mutant)
+    code, out, _ = run(capsys, "verify-table1")
+    assert code == 1
+    assert out == "39/39 cells hold\nclassical row: 3/3 cells hold\nfinal row: FAILS\n"
+
+
 def test_verify_moves_explicit_sequence(capsys):
     code, out, _ = run(capsys, "verify-moves", corpus_path("trefoil_rh"),
                        "--moves", "r1+:edge=3,r2:edges=1,4")
@@ -132,6 +147,7 @@ def test_verify_moves_names_a_missing_or_unknown_parameter(moves, message, capsy
     ("r3:edges=0,1", "r3: parameter 'edges' takes 3 values"),
     ("r1+:edge=1,2", "r1+: parameter 'edge' takes one value"),
     ("r2:edges=0,1,loop=0", "r2: parameters 'edges' and 'loop' exclude each other"),
+    ("r1+:edge=0,loop=0", "r1+: parameters 'edge' and 'loop' exclude each other"),
 ])
 def test_verify_moves_names_a_wrong_arity_or_a_clash(moves, message, capsys):
     # a short tuple used to fail unpacking, naming neither the move nor the

@@ -15,6 +15,9 @@ from hkhovanov.diagram import Diagram, validate
 from hkhovanov.homology import compare, kh_h
 from hkhovanov.moves import (
     MoveSpec,
+    _arcs,
+    _strand_params,
+    _strands,
     apply_move,
     bigon_at,
     kink_at,
@@ -81,13 +84,13 @@ def test_r1_add_splits_the_word_where_asked():
     base = corpus("trefoil_g1")
     worded = next(e for e, w in enumerate(base.edge_words) if w)
     for split in range(len(base.edge_words[worded]) + 1):
-        kinked = r1_add(base, edge=worded, split=split)
+        kinked = r1_add(base, ("edge", worded), split=split)
         assert validate(kinked) == []
         tables_equal(kinked, base)
     # a free loop is rotated by split before it is cut open
     base = Diagram(1, (), (), (parse_word("a B", 1),))
     for split, word in ((None, "a B"), (1, "B a"), (3, "B a")):
-        kinked = r1_add(base, loop=0, split=split)
+        kinked = r1_add(base, ("loop", 0), split=split)
         assert kinked.edge_words == (parse_word(word, 1), ())
         assert not kinked.free_loops
         tables_equal(kinked, base)
@@ -95,12 +98,10 @@ def test_r1_add_splits_the_word_where_asked():
 
 def test_r1_rejections():
     base = corpus("trefoil_rh")
-    with pytest.raises(ValueError, match="exactly one of edge/loop"):
-        r1_add(base, edge=0, loop=0)
     with pytest.raises(ValueError, match="no edge 99"):
-        r1_add(base, edge=99)
+        r1_add(base, ("edge", 99))
     with pytest.raises(ValueError, match="outside word"):
-        r1_add(base, edge=0, split=5)
+        r1_add(base, ("edge", 0), split=5)
     with pytest.raises(ValueError, match="not a clean kink"):
         r1_remove(base, 0)
     with pytest.raises(ValueError, match="unknown move kind"):
@@ -119,6 +120,20 @@ def test_move_spec_checks_each_value_against_its_arity(kind, params, message):
     # as a TypeError, and an int for a tuple parameter escaped at once
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         MoveSpec(kind, params)
+
+
+def test_strand_params_round_trip_every_arc_and_pair():
+    # sites write arcs as edge/loop parameters with _strand_params, and
+    # apply_move reads them back with _strands: for every arc and every pair
+    # of arcs of a diagram with edges and free loops, one undoes the other
+    base = corpus("trefoil_g1")
+    d = Diagram(base.genus, base.edge_words, base.crossings, ((1,), (2, 1)))
+    arcs = _arcs(d)
+    assert arcs == [("edge", e) for e in range(6)] + [("loop", 0), ("loop", 1)]
+    for strands in [(s,) for s in arcs] + list(itertools.combinations(arcs, 2)):
+        params = _strand_params(strands)
+        MoveSpec("r1+" if len(strands) == 1 else "r2", params)
+        assert _strands(params) == strands
 
 
 def test_r2_roundtrip_on_edges():
@@ -243,7 +258,7 @@ def removal_inputs():
         inputs[f"random/{k}"] = random_diagram(rng, n, genus, 2, n_loops)
     # a self-poke whose outer arcs both carry letters: removing it closes them
     # into one loop, read from the least arc
-    kinked = r1_add(corpus("kink_minus"), edge=1)
+    kinked = r1_add(corpus("kink_minus"), ("edge", 1))
     words = (parse_word("a", 1), (), parse_word("b", 1), ())
     inputs["self-poke"] = Diagram(1, words, kinked.crossings, ())
     return inputs

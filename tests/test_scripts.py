@@ -66,15 +66,17 @@ def test_inprocess_ab_runs():
 
 def test_output_digest_folds_what_the_cli_prints_as_a_process():
     # the in-process runs hash the same bytes and exit codes that the
-    # command line prints when run on its own
+    # command line prints when run on its own, the move layer and the face
+    # suite included
     module = load_script("output_digest")
     names = ["trefoil_g1.json", "loop_a.json"]
+    argvs = [argv for name in names for argv in module.invocations(name)]
+    argvs += module.move_invocations(names)
     env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
     runs = []
-    for name in names:
-        for argv in module.invocations(name):
-            proc = subprocess.run([sys.executable, "-m", "hkhovanov", *argv], cwd=CORPUS,
-                                  capture_output=True, env=env, timeout=120)
-            runs.append((argv, proc.returncode, proc.stdout))
-    assert len(runs) == 20 and all(code == 0 and out for _, code, out in runs)
-    assert module.digest(CORPUS, names) == module.fold(runs)
+    for argv in argvs:
+        proc = subprocess.run([sys.executable, "-m", "hkhovanov", *argv], cwd=CORPUS,
+                              capture_output=True, env=env, timeout=120)
+        runs.append((argv, proc.returncode, proc.stdout))
+    assert len(runs) == 24 and all(code == 0 and out for _, code, out in runs)
+    assert module.digest(CORPUS, argvs) == module.fold(runs)
