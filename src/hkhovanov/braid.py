@@ -22,21 +22,14 @@ def braid_closure(letters: list[int], strands: int, genus: int = 0,
         closure_words = [""] * strands
     if len(closure_words) != strands:
         raise ValueError("one closure word per strand position")
-    next_id = 0
-
-    def alloc() -> int:
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
-
-    first = [alloc() for _ in range(strands)]
-    cur = list(first)
+    # strand p starts on edge p; crossing n makes edges strands + 2n, strands + 2n + 1
+    cur = list(range(strands))
     crossings = []
-    for v in letters:
+    for n, v in enumerate(letters):
         k = abs(v)
         if v == 0 or k >= strands:
             raise ValueError(f"generator {v} out of range for {strands} strands")
-        a, b = alloc(), alloc()
+        a, b = strands + 2 * n, strands + 2 * n + 1
         # slots run counterclockwise from the under-in ray; with the braid
         # flowing downward the rays read NW, SW, SE, NE
         if v > 0:
@@ -47,9 +40,9 @@ def braid_closure(letters: list[int], strands: int, genus: int = 0,
                               (b, TAIL)))
         cur[k - 1], cur[k] = a, b
 
-    words = [()] * next_id
+    words = [()] * (strands + 2 * len(letters))
     for p in range(strands):
-        words[first[p]] = parse_word(closure_words[p], genus)
+        words[p] = parse_word(closure_words[p], genus)
     # each strand's last arc feeds its first, which carries the closure word
     open_braid = Diagram(genus, tuple(words), tuple(crossings), ())
-    return _splice(open_braid, set(), set(), {cur[p]: first[p] for p in range(strands)})
+    return _splice(open_braid, set(), set(), {cur[p]: p for p in range(strands)})

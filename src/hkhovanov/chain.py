@@ -336,37 +336,29 @@ class Table1Report:
         return "\n".join(lines)
 
 
-def _ops_or_zero(ops: tuple[Op, ...] | None, shape: tuple[int, int]) -> GF2Matrix:
-    p_in, p_out = shape
-    if ops is None:
-        return GF2Matrix(1 << p_in, 1 << p_out, [0] * (1 << p_in))
-    mat = compose_ops(ops, p_in)
-    if mat.ncols != 1 << p_out:
-        raise ValueError("composition does not land in the expected power")
-    return mat
-
-
-def _first_difference(a: GF2Matrix, b: GF2Matrix) -> int | None:
-    for r in range(a.nrows):
-        if a.rows[r] != b.rows[r]:
-            return r
-    return None
+def _table1_witness(col: str, lhs: tuple[Op, ...] | None,
+                    rhs: tuple[Op, ...] | None) -> int | None:
+    """The first basis mask where a cell's two sides differ, or None if they
+    agree; a side given as None is the zero map."""
+    p_in, p_out = _TABLE1_SHAPES[col]
+    sides = []
+    for ops in (lhs, rhs):
+        mat = GF2Matrix(1 << p_in, 1 << p_out) if ops is None else compose_ops(ops, p_in)
+        if mat.ncols != 1 << p_out:
+            raise ValueError("composition does not land in the expected power")
+        sides.append(mat.rows)
+    return next((mask for mask, (a, b) in enumerate(zip(*sides)) if a != b), None)
 
 
 def verify_table1() -> Table1Report:
     """Check every face identity cell as an equality of dense GF(2) matrices."""
     cells = []
     for row, col, lhs, rhs in TABLE1:
-        shape = _TABLE1_SHAPES[col]
-        lm = _ops_or_zero(lhs, shape)
-        rm = _ops_or_zero(rhs, shape)
-        witness = _first_difference(lm, rm)
+        witness = _table1_witness(col, lhs, rhs)
         cells.append((row, col, witness is None, witness))
     classical = []
     for col, lhs, rhs in TABLE1_CLASSICAL:
-        shape = _TABLE1_SHAPES[col]
-        witness = _first_difference(_ops_or_zero(lhs, shape), _ops_or_zero(rhs, shape))
-        classical.append((col, witness is None))
+        classical.append((col, _table1_witness(col, lhs, rhs) is None))
     # the last row asserts that every map of its configuration vanishes: an
     # edge whose three circles are all nontrivial must dispatch to no table
     x, y, z = ConjClass((1,)), ConjClass((2,)), ConjClass((1, 2))

@@ -140,38 +140,30 @@ def poincare_report(table: HomologyTable, fmt: str = "text",
     (p,q) exponent pairs.  tsv: header plus tab-separated columns.  json: a
     single object with the table as a list, meta keys merged at top level.
     """
-    items = table.sorted_items()
+    if fmt not in ("text", "tsv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
     names = _ClassNames(table.genus)  # each class is spelled once per report
-    # text and tsv: the sorted items are dropped once their lines exist, and
-    # an empty last line makes the final newline, so the text is joined once
-    if fmt == "text":
-        lines = [f"# flavor={table.flavor} genus={table.genus}"]
-        if meta:
-            lines += [f"# {k}={v}" for k, v in sorted(meta.items())]
-        lines += [f"({i},{j},{h.render(names.__getitem__)}) : {dim}"
-                  for (i, j, h), dim in items]
-        del items
-        lines.append(f"# total dimension {table.total_dim()}")
-        if table.genus == 1:
-            lines += [f"# {name} = {pq}" for name, pq in _legend(names)]
-        lines.append("")
-        return "\n".join(lines)
-    if fmt == "tsv":
-        lines = ["i\tj\th\tdim"]
-        lines += [f"{i}\t{j}\t{h.render(names.__getitem__)}\t{dim}"
-                  for (i, j, h), dim in items]
-        del items
-        lines.append("")
-        return "\n".join(lines)
+    # a generator, so no second list of the entries is held; the legend is
+    # read once the rows are used up, when every class has been named
+    rows = ((i, j, h.render(names.__getitem__), dim)
+            for (i, j, h), dim in table.sorted_items())
     if fmt == "json":
-        doc = dict(meta or {})
-        doc["flavor"] = table.flavor
-        doc["genus"] = table.genus
-        doc["table"] = [
-            {"i": i, "j": j, "h": h.render(names.__getitem__), "dim": dim}
-            for (i, j, h), dim in items
-        ]
+        doc = {**(meta or {}), "flavor": table.flavor, "genus": table.genus,
+               "table": [{"i": i, "j": j, "h": h, "dim": dim} for i, j, h, dim in rows]}
         if table.genus == 1:
             doc["legend"] = {name: list(pq) for name, pq in _legend(names)}
         return json.dumps(doc, sort_keys=True, indent=1) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    # an empty last line makes the final newline, so the text is joined once
+    if fmt == "tsv":
+        lines = ["i\tj\th\tdim"]
+        lines += [f"{i}\t{j}\t{h}\t{dim}" for i, j, h, dim in rows]
+    else:
+        lines = [f"# flavor={table.flavor} genus={table.genus}"]
+        if meta:
+            lines += [f"# {k}={v}" for k, v in sorted(meta.items())]
+        lines += [f"({i},{j},{h}) : {dim}" for i, j, h, dim in rows]
+        lines.append(f"# total dimension {table.total_dim()}")
+        if table.genus == 1:
+            lines += [f"# {name} = {pq}" for name, pq in _legend(names)]
+    lines.append("")
+    return "\n".join(lines)

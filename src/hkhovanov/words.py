@@ -13,10 +13,12 @@ r = [a1,b1]...[ag,bg].  The relator uses each of its 4g letters once, so a
 segment of at most 4g letters is a subword of a rotation of r^+-1 exactly when
 each letter is followed by its successor around r^+-1.  One left-to-right scan
 over the maximal successor runs of a word finds all of them; the two successor
-maps, O(g) per genus, are all the state kept.  Conjugacy classes are taken up
-to inversion, since the circles they grade are unoriented.  A class keeps its
-order key (length, then letter order) and its hash from when it is made, so
-sorting, grading sums and tables never key a class's word again.
+maps, filled in letter by letter as words use them, are all the state kept,
+so a huge genus costs no more than the letters of its words.  Conjugacy
+classes are taken up to inversion, since the circles they grade are
+unoriented.  A class keeps its order key (length, then letter order) and its
+hash from when it is made, so sorting, grading sums and tables never key a
+class's word again.
 """
 
 from __future__ import annotations
@@ -150,14 +152,29 @@ def cyclic_reduce(w: Word) -> Word:
 # Dehn's algorithm for the genus-g relator [a1,b1]...[ag,bg]
 
 
+class _Successors(dict):
+    """The letter after each letter around r (step 1) or r^-1 (step -1), filled
+    in when first asked for.  Handle indices wrap mod g: a_i b_i A_i B_i a_(i+1)
+    around r, and b_i a_i B_i A_i b_(i-1) around r^-1."""
+
+    def __init__(self, genus: int, step: int):
+        super().__init__()
+        self.genus, self.step = genus, step
+
+    def __missing__(self, x: int) -> int:
+        i = (abs(x) + 1) // 2
+        a, b, nxt = 2 * i - 1, 2 * i, (i - 1 + self.step) % self.genus + 1
+        cycle = [a, b, -a, -b, 2 * nxt - 1] if self.step > 0 else [b, a, -b, -a, 2 * nxt]
+        y = self[x] = cycle[cycle.index(x) + 1]
+        return y
+
+
 @lru_cache(maxsize=None)
-def _successors(genus: int) -> tuple[dict[int, int], dict[int, int]]:
-    """The letter after each letter around r, and around r^-1: 4g entries each."""
+def _successors(genus: int) -> tuple[_Successors, _Successors]:
+    """The successor maps around r and around r^-1."""
     if genus < 2:
         raise ValueError("Dehn reduction needs genus >= 2")
-    r = tuple(x for i in range(1, genus + 1)
-              for x in (2 * i - 1, 2 * i, 1 - 2 * i, -2 * i))
-    return tuple(dict(zip(base, base[1:] + base[:1])) for base in (r, invert_word(r)))
+    return _Successors(genus, 1), _Successors(genus, -1)
 
 
 def _runs(w: Word, stop: int, genus: int):
@@ -174,9 +191,9 @@ def _runs(w: Word, stop: int, genus: int):
     s = 0
     while s < stop and s < last:
         for succ in maps:
-            if succ.get(w[s]) == w[s + 1]:
+            if succ[w[s]] == w[s + 1]:
                 e = s + 2
-                while e <= last and succ.get(w[e - 1]) == w[e]:
+                while e <= last and succ[w[e - 1]] == w[e]:
                     e += 1
                 yield s, e, succ
                 s = e - 1
@@ -185,12 +202,12 @@ def _runs(w: Word, stop: int, genus: int):
             s += 1
 
 
-def _complement(w: Word, i: int, length: int, succ: dict[int, int]) -> Word:
+def _complement(w: Word, i: int, length: int, succ: _Successors) -> Word:
     """v^-1 for the rotation u v of r^+-1 that starts with u = w[i:i + length]:
     u v = 1, so u = v^-1.  v has 4g - length letters, read along succ on from
     the last letter of u."""
     x, rest = w[i + length - 1], []
-    for _ in range(len(succ) - length):
+    for _ in range(4 * succ.genus - length):
         x = succ[x]
         rest.append(-x)
     return tuple(reversed(rest))

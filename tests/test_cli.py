@@ -117,6 +117,33 @@ def test_verify_table1_final_row_can_fail(monkeypatch, capsys):
     assert out == "39/39 cells hold\nclassical row: 3/3 cells hold\nfinal row: FAILS\n"
 
 
+def test_verify_table1_names_each_failing_cell(monkeypatch, capsys):
+    # wrong label tables break cells: each one is named with the first basis
+    # mask where its sides differ, and the classical row is counted apart
+    split, merge = chain.SPLIT_TABLES, chain.MERGE_TABLES
+    delta1, delta2 = split["delta1"], split["delta2"]
+    monkeypatch.setitem(split, "delta1", delta2)
+    monkeypatch.setitem(split, "delta2", delta1)
+    code, out, _ = run(capsys, "verify-table1")
+    assert code == 1
+    masks = [("2.a", "A", 1), ("2.a", "B", 3), ("2.b", "A", 1), ("2.c", "A", 1),
+             ("2.c", "B", 2), ("3.a.i", "A", 1), ("3.b.i", "A", 1), ("3.b.i", "B", 2),
+             ("3.b.ii", "B", 2), ("3.c.i", "A", 1), ("3.c.i", "B", 2), ("4.a", "A", 1),
+             ("4.a", "B", 3), ("4.b", "A", 1), ("4.c", "A", 1)]
+    assert out == "".join(["24/39 cells hold\n"]
+                          + [f"FAIL {r} {c}: differs on basis mask {m}\n" for r, c, m in masks]
+                          + ["classical row: 3/3 cells hold\nfinal row: holds\n"])
+    monkeypatch.undo()
+
+    monkeypatch.setitem(merge, "m", merge["m1"])
+    code, out, _ = run(capsys, "verify-table1")
+    assert code == 1
+    assert out == ("37/39 cells hold\n"
+                   "FAIL 2.c B: differs on basis mask 1\n"
+                   "FAIL 3.a.i C: differs on basis mask 3\n"
+                   "classical row: 2/3 cells hold\nfinal row: holds\n")
+
+
 def test_verify_moves_explicit_sequence(capsys):
     code, out, _ = run(capsys, "verify-moves", corpus_path("trefoil_rh"),
                        "--moves", "r1+:edge=3,r2:edges=1,4")
@@ -362,8 +389,10 @@ def test_deeply_nested_json_is_a_diagnostic(tmp_path, capsys):
 
 
 def test_compute_at_genus_ten_thousand(tmp_path):
-    # Dehn reduction keeps O(g) state, so a large genus costs no more than its
-    # letters; tables of relator subwords took O(g^3) and ran out of memory.
+    # Dehn reduction keeps state only for the letters its words use, so a
+    # large genus costs no more than its letters.  Tables of relator subwords
+    # took O(g^3) and successor maps built whole took O(g); both ran out of
+    # memory.
     # Each run gets a 1 GiB address-space cap so that such a regression fails
     # here rather than straining the machine.
     def cap_memory():
@@ -371,7 +400,7 @@ def test_compute_at_genus_ten_thousand(tmp_path):
 
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     outs = []
-    for genus in (2, 10_000):
+    for genus in (2, 10_000, 1_000_000_000):
         path = tmp_path / f"loop_g{genus}.json"
         path.write_text(json.dumps({"genus": genus, "edges": [], "crossings": [],
                                     "free_loops": ["a1 b1"]}))

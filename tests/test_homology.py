@@ -210,6 +210,9 @@ def test_poincare_report_formats():
     body = poincare_report(empty, "text")
     assert "# total dimension 0" in body
 
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        poincare_report(t, "xml")
+
 
 def test_the_empty_diagram_has_one_generator():
     # its one state has no circle, so there is no anchor to gather
