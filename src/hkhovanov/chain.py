@@ -44,7 +44,7 @@ from typing import Container, Iterable, Iterator
 
 from .cube import edge_circles, resolve
 from .diagram import Diagram, crossing_signs
-from .gf2 import GF2Matrix, leads_of, product_rows, rank_of
+from .gf2 import GF2Matrix, leads_of, product_rows
 from .words import TRIVIAL_CLASS, ConjClass, GradingElem, Word
 
 MINUS, PLUS = 0, 1
@@ -405,9 +405,9 @@ class BoundaryMap:
 
     The recipe lists the map's source states in column order, as `_rows`
     reads them.  `rows` makes the same ints a `GF2Matrix` would hold, on
-    every read; `is_zero` stops at the first nonzero row, `rank` streams
-    them through `gf2.rank_of`, and `leads` streams all but the skipped ones
-    through `gf2.leads_of`.
+    every read; `is_zero` stops at the first nonzero row, and `leads`
+    streams all but the skipped ones through `gf2.leads_of`; `rank` is the
+    size of the leads with none skipped.
     """
     __slots__ = ("nrows", "ncols", "_recipe")
 
@@ -422,7 +422,7 @@ class BoundaryMap:
         return not any(_rows(self._recipe, ()))
 
     def rank(self) -> int:
-        return rank_of(_rows(self._recipe, ()))
+        return len(self.leads(()))
 
     def leads(self, skip: Container[int]) -> set[int]:
         """Pivot leads of the rows whose index is not in skip; skipped rows are never made."""

@@ -2,28 +2,30 @@
 
 A state is an n-bit mask, bit c giving the smoothing of crossing c: the
 0-smoothing joins slot pairs (0,1) and (2,3), the 1-smoothing joins (0,3)
-and (1,2).  Circles are traced through darts (edge, direction), stepping
-through the diagram's dart table (``Diagram.dart_steps``, built once per
-diagram); each circle is read from its least edge, traversed tail-to-head,
-concatenating edge words (inverted against the traversal).  Circles are
-listed sorted by least visited edge, with crossing-free loops appended after
-them in input order.  ``circle_counts`` makes the same walks for every state
-and only counts them.  A resolution also keeps an owner index: for each edge
-the position of the circle through it, then one slot per free loop; and per
-circle its anchor, the owner slot of its least edge or of its loop.
+and (1,2).  Circles are traced dart by dart, a dart being an edge walked in
+one direction, through the diagram's dart table (``Diagram.dart_steps``,
+built once per diagram); each circle is read from its least edge, traversed
+tail-to-head, concatenating edge words (inverted against the traversal).
+Circles are listed sorted by least visited edge, with crossing-free loops
+appended after them in input order, so free loop k sits at position
+``n_traced + k``.  A resolution is three facts: its owner index (for each
+edge the position of the circle through it, then one slot per free loop),
+per circle its anchor (the owner slot of its least edge or of its loop),
+and per circle its word.  ``circle_counts`` makes the same walks for every
+state and only counts them.
 
 A cube edge flips one crossing from 0 to 1.  Only the circles through that
 crossing change, so the owner index at its slots tells the edge apart: a
 merge (two circles become one), a split, or neutral (one circle re-glues to
 one circle); neutral edges only occur when the diagram has no source-sink
-structure.  Every other circle keeps its darts and is matched to the target
-circle that owns its anchor.  That owner-slot decision is made in one place,
-``edge_circles``, which reads only the two owner indices at the crossing's
-slot edges (``Diagram.slot_edges``, built once per diagram):
-``chain.build_complex`` (which keeps each state's owner index and anchors as
-bytes and drops the resolution) and the ``dump-cube`` command call it
-directly, walking each state's out-edges by crossing, and ``classify_edge``
-wraps it in a ``CubeEdge`` with the matched pairs.  ``CubeEdge`` and
+structure.  Every other circle runs through the same edges in the target
+and is matched to the target circle that owns its anchor.  The owner-slot
+decision is made in one place, ``edge_circles``, which reads only the two
+owner indices at the crossing's slot edges (``Diagram.slot_edges``, built
+once per diagram): ``chain.build_complex`` (which keeps each state's owner
+index and anchors as bytes and drops the resolution) and the ``dump-cube``
+command call it directly, walking each state's out-edges by crossing, and
+``classify_edge`` wraps it in a ``CubeEdge``.  ``CubeEdge`` and
 ``classify_edge`` stay here because the benchmark's traced classify pass
 imports them; the tests walk every cube edge with them.
 
@@ -49,14 +51,10 @@ __all__ = ["Circle", "Resolution", "CubeEdge", "resolve", "circle_counts", "edge
 
 @dataclass(frozen=True, slots=True)
 class Circle:
-    """One smoothed component: its darts and traced word.
+    """One smoothed component, by its traced word.  A record of one field,
+    kept because the benchmark's traced passes read ``circle.word``."""
 
-    Free loops carry no darts; ``loop`` is their index in the diagram.
-    """
-
-    darts: tuple[tuple[int, int], ...]
     word: Word
-    loop: int | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,7 +82,6 @@ def resolve(d: Diagram, state: int) -> Resolution:
         if owner[e0] is not None:
             continue
         pos = len(circles)
-        darts: list[tuple[int, int]] = []
         word: list[int] = []
         dart = start = 2 * e0
         while True:
@@ -93,24 +90,26 @@ def resolve(d: Diagram, state: int) -> Resolution:
                 raise RuntimeError(f"corrupted diagram at state {state}:"
                                    f" edge {e} traversed twice")
             owner[e] = pos
-            c, nxt0, nxt1, w, pair = steps[dart]
-            darts.append(pair)
+            c, nxt0, nxt1, w = steps[dart]
             word += w
             dart = nxt1 if (state >> c) & 1 else nxt0
             if dart == start:
                 break
-        circles.append(Circle(tuple(darts), tuple(word)))
+        circles.append(Circle(tuple(word)))
         anchors.append(e0)
-    for k, w in enumerate(d.free_loops):
+    for w in d.free_loops:
         anchors.append(len(owner))
         owner.append(len(circles))
-        circles.append(Circle((), tuple(w), loop=k))
+        circles.append(Circle(tuple(w)))
     return Resolution(state, tuple(circles), tuple(owner), tuple(anchors))
 
 
 def circle_counts(d: Diagram) -> list[int]:
     """Circle count of every state, in state order: the closed walks of
-    ``resolve`` through the dart table, counted without darts or words."""
+    ``resolve`` through the dart table, counted without owners or words.
+    A walk of its own rather than ``resolve``'s circles counted: the random
+    stream's size cap counts every candidate's states, and keeping no owner
+    index or words takes less than half the time."""
     steps = [step[:3] for step in d.dart_steps]
     n_edges = len(d.edge_words)
     counts = []
@@ -145,10 +144,9 @@ class CubeEdge:
     kind: str  # "merge" | "split" | "neutral"
     # merge: (i, j, k) with circles i, j of the source joining into k of the
     # target; split: (i, j, k) with circle i splitting into j, k.  Neutral
-    # carries the single re-glued circle as (i, None, k).
+    # carries the single re-glued circle as (i, None, k).  Every other
+    # circle p lands at target position ``owner[anchors[p]]``.
     indices: tuple
-    # position pairs (source index, target index) of the untouched circles
-    unchanged: tuple[tuple[int, int], ...] = ()
 
     @property
     def target(self) -> int:
@@ -181,13 +179,8 @@ def edge_circles(d: Diagram, src_owner: Sequence[int], tgt_owner: Sequence[int],
 def classify_edge(d: Diagram, src: Resolution, tgt: Resolution) -> CubeEdge:
     """Classify the cube edge from src to tgt, which 1-smoothes one more crossing."""
     crossing = (src.state ^ tgt.state).bit_length() - 1
-    kind, indices = edge_circles(d, src.owner, tgt.owner, src.state, crossing)
-    # the consumed source circles; a re-glued (neutral) circle keeps its
-    # darts, so it is matched too
-    changed = indices[:2] if kind == "merge" else indices[:1] if kind == "split" else ()
-    owner = tgt.owner
-    pairs = tuple([(p, owner[a]) for p, a in enumerate(src.anchors) if p not in changed])
-    return CubeEdge(src.state, crossing, kind, indices, pairs)
+    return CubeEdge(src.state, crossing,
+                    *edge_circles(d, src.owner, tgt.owner, src.state, crossing))
 
 
 def circle_classes(d: Diagram, res: Resolution) -> tuple[ConjClass, ...]:

@@ -72,18 +72,18 @@ class Diagram:
         return tuple((t, h) for t, h in locs)
 
     @cached_property
-    def dart_steps(self) -> tuple[tuple[int, int, int, Word, tuple[int, int]], ...]:
+    def dart_steps(self) -> tuple[tuple[int, int, int, Word], ...]:
         """Per dart ``2*edge + (direction < 0)``: the crossing it reaches, the
         dart leaving there under the 0-smoothing (slot s joined to s ^ 1) and
-        under the 1-smoothing (slot s joined to 3 - s), the word read along
-        it, and the dart as (edge, direction)."""
+        under the 1-smoothing (slot s joined to 3 - s), and the word read
+        along it."""
         steps = []
         for e, (tail, head) in enumerate(self.edge_ends):
             for direction, (c, s) in ((1, head), (-1, tail)):
                 w = self.edge_words[e] if direction > 0 else invert_word(self.edge_words[e])
                 # the dart leaving c through each of its slots
                 leave = [2 * x + (end == HEAD) for x, end in self.crossings[c]]
-                steps.append((c, leave[s ^ 1], leave[3 - s], w, (e, direction)))
+                steps.append((c, leave[s ^ 1], leave[3 - s], w))
         return tuple(steps)
 
     @cached_property

@@ -4,9 +4,9 @@ Column j of a row is bit j.  Matrices are immutable after construction.
 `leads_of` is the one leading-bit echelon reduction: it reads its rows once,
 in order, so a caller may stream rows it makes on the fly (chain's wide
 boundary maps do), and hands back the leading columns of its pivots as a set
-of ints; `rank_of` is that set's size.  `product_rows` composes two row
-lists.  A row already in range is kept as the int it was given, so a matrix
-shares its rows with its builder instead of holding a second copy of each.
+of ints, whose size is the rank.  `product_rows` composes two row lists.
+A row already in range is kept as the int it was given, so a matrix shares
+its rows with its builder instead of holding a second copy of each.
 
 The leads serve clearing (Chen and Kerber, "Persistent homology computation
 with a twist", EuroCG 2011; Bauer, Kerber and Reininghaus, "Clear and
@@ -15,14 +15,14 @@ its rows outside A's leads: a pivot p of A is a sum of A's rows, so the sum
 of B's rows at p's set bits is 0, and B's row at p's lead L is the sum of its
 rows at p's lower bits.  The leads are distinct, so in increasing order each
 skipped row is a sum of rows kept.  `GF2Matrix.leads` ranks with a skip set;
-`rank` reads every row.
+`rank` is the size of the leads with none skipped.
 """
 
 from __future__ import annotations
 
 from typing import Container, Iterable, Sequence
 
-__all__ = ["GF2Matrix", "leads_of", "product_rows", "rank_of"]
+__all__ = ["GF2Matrix", "leads_of", "product_rows"]
 
 
 def leads_of(rows: Iterable[int]) -> set[int]:
@@ -42,11 +42,6 @@ def leads_of(rows: Iterable[int]) -> set[int]:
     for lead in pivots:
         pivots[lead] = 0
     return set(pivots)
-
-
-def rank_of(rows: Iterable[int]) -> int:
-    """Rank over GF(2) of the rows, each read once."""
-    return len(leads_of(rows))
 
 
 def product_rows(rows: Iterable[int], other: Sequence[int]) -> list[int]:
@@ -95,7 +90,7 @@ class GF2Matrix:
         return not any(self.rows)
 
     def rank(self) -> int:
-        return rank_of(self.rows)
+        return len(self.leads(()))
 
     def leads(self, skip: Container[int]) -> set[int]:
         """Pivot leads of the rows whose index is not in skip."""

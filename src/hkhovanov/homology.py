@@ -35,6 +35,11 @@ from .words import (
 GradingTriple = tuple[int, int, GradingElem]
 
 
+def triple_order(key: GradingTriple) -> tuple:
+    """Sort key of a grading triple: i, then j, then the class-weighted grading."""
+    return key[0], key[1], key[2].sort_key()
+
+
 @dataclass
 class HomologyTable:
     genus: int
@@ -45,8 +50,7 @@ class HomologyTable:
         return sum(self.entries.values())
 
     def sorted_items(self) -> list[tuple[GradingTriple, int]]:
-        return sorted(self.entries.items(),
-                      key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].sort_key()))
+        return sorted(self.entries.items(), key=lambda kv: triple_order(kv[0]))
 
 
 def homology_table(cx: ChainComplex) -> HomologyTable:
@@ -97,9 +101,7 @@ def compare(a: HomologyTable, b: HomologyTable,
             left[new] = left.get(new, 0) + dim
     if left == b.entries:
         return True, None
-    keys = sorted(set(left) | set(b.entries),
-                  key=lambda k: (k[0], k[1], k[2].sort_key()))
-    for key in keys:
+    for key in sorted(set(left) | set(b.entries), key=triple_order):
         x, y = left.get(key, 0), b.entries.get(key, 0)
         if x != y:
             i, j, h = key

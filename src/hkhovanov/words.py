@@ -55,13 +55,15 @@ def _letter_str(letter: int, show_index: bool = True) -> str:
 
 
 class _LetterKeys(dict):
-    """Letter -> rank in a1 < a1^-1 < b1 < b1^-1 < a2 < ...; computed past the table."""
+    """Letter -> rank in a1 < a1^-1 < b1 < b1^-1 < a2 < ...; each letter's
+    rank is computed on its first lookup and stored."""
 
     def __missing__(self, letter: int) -> int:
-        return 2 * abs(letter) + (letter < 0)
+        self[letter] = key = 2 * abs(letter) + (letter < 0)
+        return key
 
 
-_LETTER_KEY = _LetterKeys({x: 2 * abs(x) + (x < 0) for x in range(-32, 33) if x})
+_LETTER_KEY = _LetterKeys()
 
 
 def word_key(w: Word) -> tuple:

@@ -482,9 +482,16 @@ def source_sink_exhaustive(d: Diagram) -> bool:
 # test-only readings of the package's resolutions and gradings (not independent)
 
 
-def support(circle: Circle) -> frozenset[int]:
-    """The edges a circle runs through."""
-    return frozenset(e for e, _ in circle.darts)
+def supports(d: Diagram, res: Resolution) -> list[frozenset[int]]:
+    """Per circle of ``res``, the edges it runs through: the darts of the
+    ``trace_circles`` circle through its anchor.  A free loop runs through no
+    edge, so it stands as its own owner slot, n_edges + its index."""
+    circles, owner = trace_circles(d, res.state)
+    out = []
+    for a in res.anchors:
+        darts = circles[owner[a]][0]
+        out.append(frozenset(e for e, _ in darts) if darts else frozenset((a,)))
+    return out
 
 
 def grading_term(cls: ConjClass, coeff: int) -> GradingElem:
@@ -537,7 +544,7 @@ def transform_resolution(res: Resolution, reverse_circles: bool,
     inversion, so neither may change a table."""
     circles, owner, anchors = res.circles, res.owner, res.anchors
     if invert_circle_words:
-        circles = tuple(Circle(c.darts, invert_word(c.word), c.loop) for c in circles)
+        circles = tuple(Circle(invert_word(c.word)) for c in circles)
     if reverse_circles:
         circles = tuple(reversed(circles))
         owner = tuple(len(circles) - 1 - i for i in owner)
@@ -597,37 +604,31 @@ def cube_edges(d: Diagram) -> list[CubeEdge]:
             for c in range(d.n_crossings) if not (s >> c) & 1]
 
 
-def hand_images(d: Diagram, edge: CubeEdge, classes_by_state, mask: int) -> list[int]:
-    """Images of one labelled state under one cube edge, straight off the tables."""
+def hand_images(edge: CubeEdge, classes_by_state, supports_by_state, mask: int) -> list[int]:
+    """Images of one labelled state under one cube edge, straight off the
+    tables; each circle the edge leaves alone keeps its label at the target
+    circle of the same ``supports``."""
     src_classes = classes_by_state[edge.source]
     tgt_classes = classes_by_state[edge.target]
     if edge.kind == "neutral":
         return []
-    move = {sp: tp for sp, tp in edge.unchanged}
-    if edge.kind == "merge":
-        i, j, k = edge.indices
-        table = chain.merge_case(src_classes[i], src_classes[j], tgt_classes[k])
-        if table is None:
-            return []
-        outs = chain.MERGE_TABLES[table][((mask >> i) & 1, (mask >> j) & 1)]
-        images = []
-        for out in outs:
-            t = out << k
-            for sp, tp in move.items():
-                t |= ((mask >> sp) & 1) << tp
-            images.append(t)
-        return images
     i, j, k = edge.indices
-    table = chain.split_case(src_classes[i], tgt_classes[j], tgt_classes[k])
-    if table is None:
-        return []
-    images = []
-    for o1, o2 in chain.SPLIT_TABLES[table][(mask >> i) & 1]:
-        t = (o1 << j) | (o2 << k)
-        for sp, tp in move.items():
-            t |= ((mask >> sp) & 1) << tp
-        images.append(t)
-    return images
+    if edge.kind == "merge":
+        consumed = (i, j)
+        table = chain.merge_case(src_classes[i], src_classes[j], tgt_classes[k])
+        local = [] if table is None else [
+            out << k for out in chain.MERGE_TABLES[table][((mask >> i) & 1, (mask >> j) & 1)]]
+    else:
+        consumed = (i,)
+        table = chain.split_case(src_classes[i], tgt_classes[j], tgt_classes[k])
+        local = [] if table is None else [
+            (o1 << j) | (o2 << k) for o1, o2 in chain.SPLIT_TABLES[table][(mask >> i) & 1]]
+    tgt_supports = supports_by_state[edge.target]
+    rest = 0
+    for p, sup in enumerate(supports_by_state[edge.source]):
+        if p not in consumed:
+            rest |= ((mask >> p) & 1) << tgt_supports.index(sup)
+    return [t | rest for t in local]
 
 
 def naive_rows(d: Diagram, flavor: str) -> dict[tuple[int, int], tuple]:
@@ -635,11 +636,13 @@ def naive_rows(d: Diagram, flavor: str) -> dict[tuple[int, int], tuple]:
     every generator of ``build_complex(d, flavor)``, edge by edge: columns
     number each slice and degree's generators in (state, mask) order, and a
     row has one bit per ``hand_images`` image over the ``cube_edges``."""
-    classes_by_state = {}
+    classes_by_state, supports_by_state = {}, {}
     out = {}
     counts: dict[tuple, int] = {}
     for s in range(1 << d.n_crossings):
-        classes = circle_classes(d, resolve(d, s))
+        res = resolve(d, s)
+        supports_by_state[s] = supports(d, res)
+        classes = circle_classes(d, res)
         if flavor == "classical":
             classes = (TRIVIAL_CLASS,) * len(classes)
         classes_by_state[s] = classes
@@ -651,7 +654,7 @@ def naive_rows(d: Diagram, flavor: str) -> dict[tuple[int, int], tuple]:
             out[s, mask] = (*key, col, 0)
     for edge in cube_edges(d):
         for mask in range(1 << len(classes_by_state[edge.source])):
-            for image in hand_images(d, edge, classes_by_state, mask):
+            for image in hand_images(edge, classes_by_state, supports_by_state, mask):
                 key, i, col, row = out[edge.source, mask]
                 tkey, ti, tcol, _ = out[edge.target, image]
                 assert (tkey, ti) == (key, i + 1)

@@ -16,7 +16,7 @@ from hkhovanov.diagram import Diagram, diagram_to_json
 from hkhovanov.randgen import random_diagram, random_diagram_stream
 
 from helpers import CORPUS_NAMES, SMALL_GENUS0, corpus
-from oracles import cube_edges, state_circles, support, trace_circles
+from oracles import cube_edges, state_circles, supports, trace_circles
 
 
 def small_random_diagrams(count=30, max_crossings=4, max_genus=2, seed=7):
@@ -33,10 +33,10 @@ def test_unknot_resolution():
     d = corpus("unknot")
     res = resolve(d, 0)
     assert res.n_circles == 1
-    circ = res.circles[0]
-    assert circ.darts == ()
-    assert circ.word == ()
-    assert circ.loop == 0
+    assert res.circles[0].word == ()
+    # no edges: the free loop owns slot 0 and is anchored there
+    assert res.owner == (0,)
+    assert res.anchors == (0,)
 
 
 def test_neutral_example_hand_trace():
@@ -62,11 +62,15 @@ def test_resolve_matches_the_tracing_oracle():
         corpus(name) for name in CORPUS_NAMES if name != "perf12_genus1"]
     for d in inputs:
         counts = circle_counts(d)
+        n_edges = len(d.edge_words)
         for s in range(1 << d.n_crossings):
             res = resolve(d, s)
             circles, owner = trace_circles(d, s)
-            assert [(c.darts, c.word) for c in res.circles] == circles
+            assert [c.word for c in res.circles] == [word for _, word in circles]
             assert res.owner == owner
+            # each traced circle at its least edge, then free loop k at slot n_edges + k
+            traced = [min(e for e, _ in darts) for darts, _ in circles if darts]
+            assert res.anchors == (*traced, *range(n_edges, n_edges + len(d.free_loops)))
             assert counts[s] == len(circles)
 
 
@@ -118,28 +122,16 @@ def test_random_streams_match_the_recorded_golden():
     assert digests == json.loads(STREAM_GOLDEN.read_text())
 
 
-def test_supports_partition_the_edge_set():
-    for d in small_random_diagrams():
-        all_edges = frozenset(range(len(d.edge_words)))
-        for s in range(1 << d.n_crossings):
-            res = resolve(d, s)
-            traced = [c for c in res.circles if c.loop is None]
-            loops = [c for c in res.circles if c.loop is not None]
-            union = frozenset()
-            for c in traced:
-                assert not (union & support(c))
-                union |= support(c)
-            assert union == all_edges
-            assert [c.loop for c in loops] == list(range(len(d.free_loops)))
-
-
 def test_cube_edge_bookkeeping():
     # the corpus adds crossing-free, neutral and multi-circle inputs; the
-    # supports are the independent oracle for the owner-index classifier.
-    # Under the least-edge circle order the untouched circles keep their
-    # relative order, and a consumed circle's anchor lands in the target at a
-    # slot fixed by kind and indices, so keying the build's edge templates by
-    # every anchor's target slot makes no more templates
+    # traced supports are the independent oracle for the owner-index
+    # classifier and for the anchor rule the build matches circles by: every
+    # circle an edge leaves alone lands on the target circle that owns its
+    # anchor, which runs through the same edges.  Under the least-edge circle
+    # order the untouched circles keep their relative order, and a consumed
+    # circle's anchor lands in the target at a slot fixed by kind and indices,
+    # so keying the build's edge templates by every anchor's target slot
+    # makes no more templates
     inputs = small_random_diagrams(count=20) + [
         corpus(name) for name in CORPUS_NAMES if name != "perf12_genus1"]
     for d in inputs:
@@ -149,37 +141,28 @@ def test_cube_edge_bookkeeping():
         for e in edges:
             src = resolve(d, e.source)
             tgt = resolve(d, e.target)
-            touched_src = set(range(src.n_circles))
-            touched_tgt = set(range(tgt.n_circles))
-            for a, b in e.unchanged:
-                assert support(src.circles[a]) == support(tgt.circles[b])
-                assert src.circles[a].loop == tgt.circles[b].loop
-                touched_src.discard(a)
-                touched_tgt.discard(b)
-            assert [b for _, b in sorted(e.unchanged)] == sorted(b for _, b in e.unchanged)
-            consumed = e.indices[:2] if e.kind == "merge" else e.indices[:1]
-            landed = [tgt.owner[src.anchors[p]] for p in consumed]
+            src_sup, tgt_sup = supports(d, src), supports(d, tgt)
+            landed = [tgt.owner[a] for a in src.anchors]
+            i, j, k = e.indices
+            consumed = (i, j) if e.kind == "merge" else (i,) if e.kind == "split" else ()
+            untouched = [p for p in range(src.n_circles) if p not in consumed]
+            for p in untouched:
+                assert src_sup[p] == tgt_sup[landed[p]]
+            moved = [landed[p] for p in untouched]
+            assert moved == sorted(set(moved))
             if e.kind == "merge":
-                i, j, k = e.indices
-                assert touched_src == {i, j} and touched_tgt == {k}
-                assert landed == [k, k]
-                assert support(src.circles[i]) | support(src.circles[j]) \
-                    == support(tgt.circles[k])
+                assert set(range(tgt.n_circles)) - set(moved) == {k}
+                assert [landed[i], landed[j]] == [k, k]
+                assert src_sup[i] | src_sup[j] == tgt_sup[k]
             elif e.kind == "split":
-                i, j, k = e.indices
-                assert touched_src == {i} and touched_tgt == {j, k}
-                assert landed == [j]
-                assert support(src.circles[i]) \
-                    == support(tgt.circles[j]) | support(tgt.circles[k])
+                assert set(range(tgt.n_circles)) - set(moved) == {j, k}
+                assert landed[i] == j
+                assert src_sup[i] == tgt_sup[j] | tgt_sup[k]
             else:
-                # the re-glued circle keeps its support, so it is also listed
-                # among the matched pairs; indices single it out
-                i, none, k = e.indices
-                assert none is None
-                assert touched_src == set() and touched_tgt == set()
-                assert landed == [k]
-                assert dict(e.unchanged)[i] == k
-                assert support(src.circles[i]) == support(tgt.circles[k])
+                # the re-glued circle keeps its support, so it is matched too
+                assert j is None
+                assert set(moved) == set(range(tgt.n_circles))
+                assert landed[i] == k
 
 
 def test_corrupted_owner_index_names_the_site(monkeypatch):
@@ -213,8 +196,8 @@ def test_corrupted_walk_names_the_site():
     # and closes, and the walk from edge 3 steps back onto edge 2
     d = corpus("trefoil_rh")
     steps = list(d.dart_steps)
-    c, nxt0, _, word, pair = steps[4]
-    steps[4] = (c, nxt0, 3, word, pair)
+    c, nxt0, _, word = steps[4]
+    steps[4] = (c, nxt0, 3, word)
     d.__dict__["dart_steps"] = tuple(steps)
     message = "corrupted diagram at state 4: edge 2 traversed twice"
     runs = [lambda: resolve(d, 4), lambda: circle_counts(d),

@@ -4,7 +4,7 @@ import random
 
 from hypothesis import given, strategies as st
 
-from hkhovanov.gf2 import GF2Matrix, leads_of, product_rows, rank_of
+from hkhovanov.gf2 import GF2Matrix, leads_of, product_rows
 
 from oracles import kernel_dim, naive_rank, transpose
 
@@ -49,7 +49,7 @@ def test_rank_of_reads_a_stream_of_rows_once():
     rng = random.Random(2)
     for _ in range(50):
         m = random_matrix(rng, rng.randrange(0, 40), rng.randrange(0, 40))
-        assert rank_of(iter(m.rows)) == m.rank() == naive_rank(to_lists(m))
+        assert len(leads_of(iter(m.rows))) == m.rank() == naive_rank(to_lists(m))
 
 
 def left_kernel(rows: list[int]) -> list[int]:
@@ -90,7 +90,7 @@ def test_clearing_keeps_the_rank_of_the_next_map():
         a = GF2Matrix(len(a_rows), k, a_rows)
         assert a.multiply(b).is_zero()
         leads = leads_of(a.rows)
-        assert type(leads) is set and len(leads) == a.rank() == rank_of(a.rows)
+        assert type(leads) is set and len(leads) == a.rank()
         assert len(b.leads(leads)) == b.rank() == naive_rank(to_lists(b))
         cleared += len(leads)
     assert cleared > 1000

@@ -276,7 +276,7 @@ def test_grading_str_forms():
     assert str(grading_term(a, -1)) == "-1*[a1]"
 
 
-# genus 20 reaches letters past word_key's 16-handle table
+# genus 20 reaches letters up to +-40, each ranked on its first lookup
 @given(st.lists(word_st(20), max_size=10))
 def test_class_order_and_hash_follow_the_letters(words):
     classes = [ConjClass(w) for w in words]
