@@ -27,12 +27,12 @@ from its recipe once, a wide one (more than WIDE_BITS dense bits) a
 
 On a surface with many classes the homotopical grading cuts the cube into
 thousands of small slices, so the bookkeeping is per grading, not per slice:
-a slice's grading key and its (class id, coeff) pairs are interned when the
-slice is first met, and packaging makes one `GradingElem` per distinct
-grading and one term tuple per distinct pair, shared by every slice that has
-them.  The build state (templates, per-state arrays, the shape table) is
-released before packaging, and each slice's build dims and rows as soon as
-the slice is packaged.
+the build keys each slice by the (j, `GradingElem`) it reports, makes one
+`GradingElem` per distinct grading when its first slice is met and one
+(class, coeff) term tuple per distinct term, and every slice that has them
+shares them.  The build state (templates, per-state arrays, the shape table)
+is released before packaging, and each slice's build dims and rows as soon
+as the slice is packaged.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Container, Iterable, Iterator
 from .cube import edge_circles, resolve
 from .diagram import Diagram, crossing_signs
 from .gf2 import GF2Matrix, leads_of, product_rows
-from .words import TRIVIAL_CLASS, ConjClass, GradingElem, Word
+from .words import TRIVIAL_CLASS, ConjClass, GradingElem
 
 MINUS, PLUS = 0, 1
 
@@ -450,26 +450,22 @@ class ChainComplex:
         return sum(sum(sc.dims.values()) for sc in self.slices.values())
 
 
-def _grading_key(nontrivial: tuple[tuple[int, int], ...],
-                 mask: int) -> tuple[tuple[int, int], ...]:
-    # nontrivial: (class id, bit mask of the circles in that class), precomputed
+def _grading_key(nontrivial: tuple[tuple[ConjClass, int], ...],
+                 mask: int) -> tuple[tuple[ConjClass, int], ...]:
+    # nontrivial: (class, bit mask of the circles in that class), sorted by
+    # class, so the (class, coeff) terms come out as a GradingElem's
     out = []
-    for cid, bits in nontrivial:
+    for cls, bits in nontrivial:
         coeff = 2 * (mask & bits).bit_count() - bits.bit_count()
         if coeff:
-            out.append((cid, coeff))
+            out.append((cls, coeff))
     return tuple(out)
 
 
-def _grading(hkey: tuple[tuple[int, int], ...], term) -> GradingElem:
-    """The grading of a class-id key, term mapping each (class id, coeff)
-    pair to its (class, coeff) term; the terms are sorted by class."""
-    return GradingElem(tuple(sorted(map(term, hkey))))
-
-
 class _Shape:
-    """The generators of the states of one shape (β, class id per circle, -1
-    if trivial); edge templates are keyed by the shapes themselves.
+    """The generators of the states of one shape (β, class of each circle,
+    TRIVIAL_CLASS if trivial); edge templates are keyed by the shapes
+    themselves.
 
     Per mask: its slice id and its rank among the shape's masks in that
     slice.  ``slot_of`` numbers the shape's slices in mask order (slice id ->
@@ -478,7 +474,7 @@ class _Shape:
     """
     __slots__ = ("classes", "sids", "ranks", "slot_of", "masks")
 
-    def __init__(self, classes: list[ConjClass]):
+    def __init__(self, classes: tuple[ConjClass, ...]):
         self.classes = classes
         self.sids: list[int] = []
         self.ranks: list[int] = []
@@ -507,67 +503,58 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
     homotopical = flavor == "homotopical"
     n = d.n_crossings
     n_plus, n_minus, _ = crossing_signs(d)
+    di = -n_minus if shift else 0
+    dj = n_plus - 2 * n_minus if shift else 0
 
     # one pass per state: read its resolution once, into its owner index and
     # anchors (bytes: 256 circles would make 2^256 generators), class each
-    # distinct circle word once per build (word_ids: class id in order of
-    # first sight, -1 if trivial; the classical flavor takes all as trivial)
-    # and key its shape by (β, class ids), which splits the states as (γ, β,
-    # class groups) would.  A new shape gives each mask its slice id, slot and
-    # rank; the generator (s, mask) sits at column state_bases[s][slot] + rank.
+    # distinct circle word once per build (the classical flavor takes every
+    # circle as trivial) and key its shape by (β, class per circle), which
+    # splits the states as (γ, β, class groups) would.  A new shape gives each
+    # mask its slice id, slot and rank; the generator (s, mask) sits at column
+    # state_bases[s][slot] + rank.  A slice's key is its final (j, h): the
+    # first slice with a grading's terms makes its GradingElem, from interned
+    # term tuples, and every slice with those terms shares it
     owners: list[bytes] = []
     anchors: list[bytes] = []
-    word_ids: dict[Word, int] = {}
-    class_ids: dict[ConjClass, int] = {}
-    class_pool: list[ConjClass] = []
-    slice_ids: dict[tuple[int, tuple[tuple[int, int], ...]], int] = {}
-    slice_keys: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-    # a new slice id interns its grading key and (class id, coeff) pairs, so
-    # slices that differ only in j share them
-    hkeys: dict[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]] = {}
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}
+    class_of = cache(d.surface.canonical_class)
+    term_pool: dict[tuple[ConjClass, int], tuple[ConjClass, int]] = {}
+    # grading terms -> (its GradingElem, slice id by shifted j)
+    gradings: dict[tuple, tuple[GradingElem, dict[int, int]]] = {}
+    slice_keys: list[tuple[int, GradingElem]] = []
     dims: list[dict[int, int]] = []
-    shapes: dict[tuple[int, tuple[int, ...]], _Shape] = {}
+    shapes: dict[tuple[int, tuple[ConjClass, ...]], _Shape] = {}
     state_shapes: list[_Shape] = []
     state_bases: list[tuple[int, ...]] = []
     for s in range(1 << n):
         res = resolve(d, s)
         owners.append(bytes(res.owner))
         anchors.append(bytes(res.anchors))
-        cids = [-1] * len(res.circles)
-        for t, circle in enumerate(res.circles if homotopical else ()):
-            cid = word_ids.get(circle.word)
-            if cid is None:
-                cls = d.surface.canonical_class(circle.word)
-                cid = word_ids[circle.word] = (
-                    -1 if cls.is_trivial else class_ids.setdefault(cls, len(class_pool)))
-                if cid == len(class_pool):
-                    class_pool.append(cls)
-            cids[t] = cid
+        classes = (tuple([class_of(circle.word) for circle in res.circles]) if homotopical
+                   else (TRIVIAL_CLASS,) * len(res.circles))
         beta = s.bit_count()
-        shape_key = beta, tuple(cids)
+        shape_key = beta, classes
         shape = shapes.get(shape_key)
         if shape is None:
-            shape = shapes[shape_key] = _Shape(
-                [TRIVIAL_CLASS if cid < 0 else class_pool[cid] for cid in cids])
-            groups: dict[int, int] = {}
-            for t, cid in enumerate(cids):
-                if cid >= 0:
-                    groups[cid] = groups.get(cid, 0) | (1 << t)
-            id_groups = sorted(groups.items())
-            gamma = len(cids)
+            shape = shapes[shape_key] = _Shape(classes)
+            groups: dict[ConjClass, int] = {}
+            for t, cls in enumerate(classes):
+                if not cls.is_trivial:
+                    groups[cls] = groups.get(cls, 0) | (1 << t)
+            class_groups = tuple(sorted(groups.items()))
+            gamma = len(classes)
             for mask in range(1 << gamma):
-                key = (2 * mask.bit_count() - gamma + beta, _grading_key(id_groups, mask))
-                sid = slice_ids.get(key)
+                terms = _grading_key(class_groups, mask)
+                entry = gradings.get(terms)
+                if entry is None:
+                    h = GradingElem(tuple(term_pool.setdefault(p, p) for p in terms))
+                    entry = gradings[h.terms] = h, {}
+                h, sids = entry
+                j = 2 * mask.bit_count() - gamma + beta + dj
+                sid = sids.get(j)
                 if sid is None:
-                    j, hkey = key
-                    shared = hkeys.get(hkey)
-                    if shared is None:
-                        shared = tuple(pairs.setdefault(p, p) for p in hkey)
-                        hkeys[shared] = shared
-                    key = j, shared
-                    sid = slice_ids[key] = len(slice_keys)
-                    slice_keys.append(key)
+                    sid = sids[j] = len(slice_keys)
+                    slice_keys.append((j, h))
                     dims.append({})
                 shape.add(sid)
         bases = []
@@ -576,7 +563,7 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
             dims[sid][beta] = bases[-1] + len(masks)
         state_shapes.append(shape)
         state_bases.append(tuple(bases))
-    del word_ids, class_ids
+    del class_of, term_pool, gradings
 
     # boundary map recipes by source degree, then slice id.  An out-edge's
     # template is keyed by all that its label images, scatter table and slice
@@ -590,8 +577,6 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
     # of the mask's slice; the check keeps every image in that slice, so the
     # edge shifts the bits by the target's base in that slot.  A zero map's
     # template is empty.
-    di = -n_minus if shift else 0
-    dj = n_plus - 2 * n_minus if shift else 0
     recipes: list[dict[int, list]] = [{} for _ in range(n + 1)]
     label_images = cache(_label_images)
     templates: dict[tuple, list[int]] = {}
@@ -630,9 +615,7 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
                         for out in images[mask & consumed]:
                             tmask = scat[mask] | out
                             if sids_t[tmask] != sid:
-                                (ja, ha), (jb, hb) = (
-                                    (j + dj, _grading(hkey, lambda p: (class_pool[p[0]], p[1])))
-                                    for j, hkey in (slice_keys[sid], slice_keys[sids_t[tmask]]))
+                                (ja, ha), (jb, hb) = slice_keys[sid], slice_keys[sids_t[tmask]]
                                 raise RuntimeError(f"differential left its grading slice at"
                                                    f" state {s}, crossing {c}: slice (j={ja},"
                                                    f" h={ha}) -> (j={jb}, h={hb})")
@@ -649,16 +632,13 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
             if beta + 1 in dims[sid]:
                 maps.setdefault(sid, []).extend((masks, out_edges))
 
-    # package, applying the orientation shifts to the output gradings, once
+    # package, applying the orientation shift to the homological degrees, once
     # the build state is released (the recipes hold on to their own
     # templates and bases).  A map is a BoundaryMap over WIDE_BITS dense bits
     # and dense rows otherwise, and is left out if no row is nonzero
-    del owners, anchors, shapes, state_shapes, state_bases, slice_ids, templates, label_images
-    terms = {p: (class_pool[p[0]], p[1]) for p in pairs}
-    gradings = {hkey: _grading(hkey, terms.__getitem__) for hkey in hkeys}
-    del pairs, hkeys, terms
+    del owners, anchors, shapes, state_shapes, state_bases, templates, label_images
     slices: dict[tuple[int, GradingElem], SliceComplex] = {}
-    for sid, (j, hkey) in enumerate(slice_keys):
+    for sid, key in enumerate(slice_keys):
         sdims, dims[sid] = dims[sid], None
         smats: dict[int, GF2Matrix | BoundaryMap] = {}
         for beta, cnt in sdims.items():
@@ -670,8 +650,7 @@ def build_complex(d: Diagram, flavor: str = "homotopical", shift: bool = True) -
                  else GF2Matrix(cnt, ncols, _rows(recipe, ())))
             if not m.is_zero():
                 smats[beta + di] = m
-        slices[j + dj, gradings[hkey]] = SliceComplex(
-            {beta + di: cnt for beta, cnt in sdims.items()}, smats)
+        slices[key] = SliceComplex({beta + di: cnt for beta, cnt in sdims.items()}, smats)
     return ChainComplex(d.genus, flavor, slices)
 
 

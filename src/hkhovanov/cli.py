@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import os
 import pathlib
+import re
 import sys
 
 from .chain import build_complex, differential_squares_to_zero, edge_table, verify_table1
@@ -34,7 +35,10 @@ def _load(path: str) -> tuple[Diagram, str]:
 
 # ---------------------------------------------------------------------------
 # move list syntax: "r1+:edge=3,r2:edges=1,4"; a segment without a colon
-# continues the previous parameter's value list.
+# continues the previous parameter's value list.  A value is ASCII digits,
+# with a minus sign for a split that rotates a loop.
+
+_INT = re.compile(r"-?[0-9]+")
 
 
 def parse_moves(text: str) -> list[MoveSpec]:
@@ -63,11 +67,10 @@ def parse_moves(text: str) -> list[MoveSpec]:
             continue
         elif last_key is None:
             raise ValueError(f"--moves: dangling value {seg!r}")
-        try:
-            params[last_key].append(int(seg))
-        except ValueError:
+        if not _INT.fullmatch(seg):
             raise ValueError(f"--moves: {kind}: parameter {last_key!r} takes integers,"
-                             f" not {seg!r}") from None
+                             f" not {seg!r}")
+        params[last_key].append(int(seg))
     if kind is not None:
         moves.append(_make_spec(kind, params))
     if not moves:

@@ -111,8 +111,5 @@ class GF2Matrix:
             and self.rows == other.rows
         )
 
-    def __hash__(self):
-        return hash((self.nrows, self.ncols, tuple(self.rows)))
-
     def __repr__(self) -> str:
         return f"GF2Matrix({self.nrows}x{self.ncols})"

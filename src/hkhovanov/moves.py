@@ -54,9 +54,10 @@ class MoveSpec:
             if key not in lengths:
                 raise ValueError(f"{self.kind}: unknown parameter {key!r}")
             n = lengths[key]
-            if n is None and not isinstance(value, int):
+            if n is None and type(value) is not int:
                 raise ValueError(f"{self.kind}: parameter {key!r} takes one value")
-            if n is not None and not (isinstance(value, tuple) and len(value) == n):
+            if n is not None and not (isinstance(value, tuple) and len(value) == n
+                                      and all(type(v) is int for v in value)):
                 raise ValueError(f"{self.kind}: parameter {key!r} takes {n} values")
         forms, _ = MOVE_PARAMS[self.kind]
         given = [form for form in forms if form.keys() & self.params.keys()]

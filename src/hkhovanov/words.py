@@ -85,7 +85,7 @@ def parse_word(text: str, genus: int) -> Word:
         if kind not in "abAB":
             raise ValueError(f"malformed word token {tok!r}: expected a/b generator")
         suffix = tok[1:]
-        if suffix and not suffix.isdigit():
+        if suffix and not (suffix.isascii() and suffix.isdigit()):
             raise ValueError(f"malformed word token {tok!r}: bad handle index")
         idx = int(suffix) if suffix else 1
         if idx < 1 or idx > genus:
@@ -394,10 +394,6 @@ class GradingElem:
     """
 
     terms: tuple[tuple[ConjClass, int], ...] = ()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def sort_key(self) -> tuple:
         return tuple((c.key, k) for c, k in self.terms)

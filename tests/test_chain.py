@@ -259,9 +259,9 @@ def test_two_equal_circles_sum_their_class():
 
 def test_slice_gradings_are_the_grading_fold():
     # genus 3, several classes per state: build_complex writes each slice's
-    # grading straight from its class ids; generator_gradings folds grading_add.
-    # The build numbers the classes in order of first sight, and this diagram
-    # meets them out of class order, so each grading's terms must be sorted
+    # grading straight from its state's class groups; generator_gradings
+    # folds grading_add.  This diagram meets its classes out of class order,
+    # so the build must sort each state's class groups
     d = random_diagram(random.Random(2), 5, 3, max_word_len=3, n_loops=1)
     met = dict.fromkeys(cls for s in range(1 << d.n_crossings)
                         for cls in circle_classes(d, resolve(d, s)) if not cls.is_trivial)

@@ -187,13 +187,17 @@ def test_verify_moves_names_a_wrong_arity_or_a_clash(moves, message, capsys):
 @pytest.mark.parametrize("moves, message", [
     ("r1+:edge=x", "r1+: parameter 'edge' takes integers, not 'x'"),
     ("r2:edges=0,x", "r2: parameter 'edges' takes integers, not 'x'"),
+    ("r1+:edge=\u0661", "r1+: parameter 'edge' takes integers, not '\u0661'"),
+    ("r1+:edge=1_0", "r1+: parameter 'edge' takes integers, not '1_0'"),
+    ("r1+:edge=0,split=+1", "r1+: parameter 'split' takes integers, not '+1'"),
     ("r1+:edge=1,edge=2", "r1+: parameter 'edge' given twice"),
     ("r2:edges=0,1,splits=1,0,edges=1,2", "r2: parameter 'edges' given twice"),
 ])
 def test_verify_moves_names_a_bad_value_or_a_repeated_key(moves, message, capsys):
     # a non-integer value used to escape as int()'s own message, naming
-    # neither the move nor the key, and a repeated key silently kept its
-    # last value
+    # neither the move nor the key, a non-ASCII digit or an underscore passed
+    # int() as a different number, and a repeated key silently kept its last
+    # value
     code, out, err = run(capsys, "verify-moves", corpus_path("trefoil_rh"), "--moves", moves)
     assert code == 2 and out == ""
     assert err == f"error: --moves: {message}\n"
@@ -457,6 +461,9 @@ def test_parse_moves_grammar():
                                    "over": 2})
     assert parse_moves("r2rm:crossings=3,4") == [
         MoveSpec("r2rm", {"crossings": (3, 4)})]
+    # a negative split rotates a loop
+    assert parse_moves("r1-:loop=0,split=-2") == [
+        MoveSpec("r1-", {"loop": 0, "split": -2})]
 
 
 def test_parse_moves_rejections():

@@ -114,10 +114,14 @@ def test_r1_rejections():
     ("r1+", {"edge": 1, "split": [0]}, "r1+: parameter 'split' takes one value"),
     ("r2rm", {"crossings": 3}, "r2rm: parameter 'crossings' takes 2 values"),
     ("r2rm", {"crossings": [3, 4]}, "r2rm: parameter 'crossings' takes 2 values"),
+    ("r2", {"edges": ("a", 1)}, "r2: parameter 'edges' takes 2 values"),
+    ("r3", {"edges": (None, 1, 2)}, "r3: parameter 'edges' takes 3 values"),
+    ("r1+", {"edge": True}, "r1+: parameter 'edge' takes one value"),
 ])
 def test_move_spec_checks_each_value_against_its_arity(kind, params, message):
-    # a tuple for a one-int parameter used to pass and then escape apply_move
-    # as a TypeError, and an int for a tuple parameter escaped at once
+    # a tuple for a one-int parameter, or a tuple holding a non-int, used to
+    # pass and then escape apply_move as a TypeError, an int for a tuple
+    # parameter escaped at once, and a bool was applied as 0 or 1
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         MoveSpec(kind, params)
 

@@ -69,6 +69,11 @@ def test_parse_rejects_bad_tokens():
         parse_word("a", 0)
     with pytest.raises(ValueError, match="bad handle index"):
         parse_word("a1x", 2)
+    # a handle index is ASCII digits: an Arabic-Indic one used to read as 1
+    # and a superscript one escaped as int()'s own message
+    for tok in ("a\u0661", "a\u00b2", "b1\u0661"):
+        with pytest.raises(ValueError, match="bad handle index"):
+            parse_word(tok, 2)
 
 
 @given(word_st(2))
